@@ -161,9 +161,16 @@ def mark_stage(manifest: dict, out_dir: str, stage: str, files: list[str]) -> No
 # ---------------------------------------------------------------------------
 
 def _ensure_grids(cfg: RunConfig, manifest: dict):
-    """Load the canonical grid dump, or build it from the raw minute CSV."""
+    """Load the grid dump of this config's completed liquidity stage, or
+    build it from the raw minute CSV.
+
+    manifest must be the one load_manifest returned for cfg, so a grids.csv
+    left by another config (another data file, calendar or data kind) is
+    rebuilt, not reused.
+    """
     grids_path = os.path.join(cfg.out_dir, "grids.csv")
-    if os.path.exists(grids_path):
+    if ("grids.csv" in manifest["stages"].get("liquidity", ())
+            and stage_complete(manifest, cfg.out_dir, "liquidity")):
         return read_grids_csv(grids_path)
     if not os.path.exists(cfg.data_csv):
         raise click.ClickException(f"data file not found: {cfg.data_csv}")
@@ -251,9 +258,12 @@ def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
     return series
 
 
-def run_forecast(cfg: RunConfig) -> pipeline.ForecastSet | None:
+def run_forecast(cfg: RunConfig,
+                 series: pipeline.PortfolioSeries | None = None) -> pipeline.ForecastSet | None:
     """Fit the rolling chain and write forecast tables.
 
+    series, when given, is the series the caller already built for cfg; it
+    spares a second ingest when no liquidity stage has completed yet.
     Returns the in-memory forecast set (None when the stage was already
     complete and the caller only needs the persisted files).
     """
@@ -261,7 +271,8 @@ def run_forecast(cfg: RunConfig) -> pipeline.ForecastSet | None:
     manifest = load_manifest(cfg.out_dir, cfg.config_hash())
     if stage_complete(manifest, cfg.out_dir, "forecast"):
         return None
-    series = _build_series(cfg, manifest)
+    if series is None:
+        series = _build_series(cfg, manifest)
     fset = pipeline.run_forecasts(
         series,
         window_days=cfg.window_days,
@@ -331,7 +342,7 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
     posterior_regular = posterior_adjusted = None
     if needs_chain:
         if not stage_complete(manifest, cfg.out_dir, "forecast"):
-            run_forecast(cfg)
+            run_forecast(cfg, series)
             manifest = load_manifest(cfg.out_dir, cfg.config_hash())
         posterior_regular = pipeline.read_posteriors_csv(
             os.path.join(cfg.out_dir, "posteriors_regular.csv"))

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from ._kernels import LOG_2PI, corr_negloglik, garch11_filter, garch11_negloglik
-from .linalg import floor_psd, min_eigenvalue, symmetrize
+from .linalg import InsufficientDataError, floor_psd, min_eigenvalue, symmetrize
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,6 @@ _ADCC_STARTS = ((0.03, 0.90, 0.03), (0.01, 0.95, 0.02), (1e-4, 1e-4, 1e-4))
 
 _GARCH_FALLBACK = (0.05, 0.90)
 _DCC_FALLBACK = (0.02, 0.95)
-
-
-class InsufficientDataError(ValueError):
-    pass
 
 
 def _minimize_fd(raw, x0: np.ndarray, bounds) -> "object":
@@ -179,12 +175,20 @@ def _standardize(residuals: np.ndarray, garch: tuple[Garch11Params, ...]) -> tup
     return h2, residuals / np.sqrt(h2)
 
 
-def fit_dcc(residuals, kind: str = "dcc") -> DccFit:
+def fit_garch_stage(residuals) -> tuple[Garch11Params, ...]:
+    """Stage one: a GARCH(1,1) fit per column of (n_obs, n_assets) residuals."""
+    return tuple(fit_garch11(residuals[:, i]) for i in range(residuals.shape[1]))
+
+
+def fit_dcc(residuals, kind: str = "dcc", *,
+            garch: tuple[Garch11Params, ...] | None = None) -> DccFit:
     """Two-stage fit of the conditional covariance dynamics.
 
     residuals is (n_obs, n_assets).  kind selects the symmetric ("dcc") or
-    asymmetric ("adcc") correlation recursion.  Non-convergence falls back
-    to (a, b) = (0.02, 0.95) with the fallback flag set.
+    asymmetric ("adcc") correlation recursion.  garch, when given, is the
+    stage-one fit of these residuals (``fit_garch_stage``), which does not
+    depend on kind, so fits of both kinds can share it.  Non-convergence
+    falls back to (a, b) = (0.02, 0.95) with the fallback flag set.
     """
     if kind not in ("dcc", "adcc"):
         raise ValueError(f"kind must be 'dcc' or 'adcc', got {kind!r}")
@@ -192,7 +196,10 @@ def fit_dcc(residuals, kind: str = "dcc") -> DccFit:
     if e.ndim != 2:
         raise ValueError("residuals must be (n_obs, n_assets)")
     n, dim = e.shape
-    garch = tuple(fit_garch11(e[:, i]) for i in range(dim))
+    if garch is None:
+        garch = fit_garch_stage(e)
+    elif len(garch) != dim:
+        raise ValueError(f"{len(garch)} GARCH fits for {dim} residual series")
     h2, xi = _standardize(e, garch)
     xi = np.ascontiguousarray(xi)
     neg = np.ascontiguousarray(np.where(xi < 0.0, xi, 0.0))

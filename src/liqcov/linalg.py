@@ -3,12 +3,29 @@
 All routines work on plain float64 ndarrays and are deterministic for
 identical inputs: eigendecompositions go through LAPACK ``syevd`` via
 ``numpy.linalg.eigh`` and every sign/ordering ambiguity is fixed explicitly
-by the callers that need it.
+by the callers that need it.  The module also holds the domain errors the
+fitting stages share and the BLAS thread pin of the forecast stage.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+
 import numpy as np
+
+# Thread-count setters exported by OpenBLAS builds: numpy's and scipy's
+# wheels rename them with a ``scipy_`` prefix, ILP64 builds add ``64_``.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+class InsufficientDataError(ValueError):
+    """Raised when a window or series is too short for the fit it feeds."""
 
 
 class SingularMatrixError(ValueError):
@@ -79,3 +96,48 @@ def floor_psd(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m))[0])
+
+
+def _openblas_thread_controls() -> list[tuple[object, object]]:
+    """(setter, getter) of the thread count of each OpenBLAS in the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    The chain's matrices are a few assets wide, so BLAS threading buys
+    nothing; yet every L-BFGS-B solve wakes OpenBLAS's pool, whose extra
+    thread then spins through the whole stage and slows even pure-Python
+    code on a small machine.  Each library's previous count is restored on
+    exit; without OpenBLAS this does nothing.
+    """
+    controls = _openblas_thread_controls()
+    previous = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)

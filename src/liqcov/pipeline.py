@@ -30,6 +30,7 @@ import numpy as np
 from . import dcc as dcc_mod
 from . import vecm as vecm_mod
 from .bayes import posterior_covariance
+from .linalg import single_blas_thread
 from .liquidity import LiquiditySnapshot, build_snapshot
 from .marketdata import MinuteGrid, group_by_day
 
@@ -160,12 +161,13 @@ class ForecastSet:
 
 
 def _fit_window_pipeline(q_window: np.ndarray):
-    """Lag, rank, ECM fit and both correlation fits for one window."""
+    """Lag, rank, ECM fit, one GARCH stage and both correlation fits for one window."""
     lag = vecm_mod.select_lag(q_window)
     rank = vecm_mod.johansen_trace(q_window, lag)
     fit = vecm_mod.fit_vecm(q_window, lag, rank)
-    dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc")
-    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc")
+    garch = dcc_mod.fit_garch_stage(fit.residuals)
+    dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch)
+    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch)
     return fit, dcc_fit, adcc_fit
 
 
@@ -259,7 +261,10 @@ def run_forecasts(
     """Produce one ForecastRecord per out-of-sample day, pipeline, and kind.
 
     A failed anchor drops its days from both pipelines (keeping the two
-    sides aligned) and is logged on the result.
+    sides aligned) and is logged on the result.  Only domain errors
+    (ValueError and its subclasses: too-short windows, singular matrices,
+    degenerate days, LinAlgError) fail an anchor; any other exception is a
+    bug and propagates.  The anchors run with BLAS on one thread.
     """
     n = series.n_days
     if window_days >= n:
@@ -273,14 +278,15 @@ def run_forecasts(
     def job(t):
         try:
             return t, _run_anchor(series, t, window_days, stride, tau), None
-        except Exception as exc:  # noqa: BLE001 - anchor failures carry on
+        except ValueError as exc:
             return t, None, str(exc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, anchors))
-    else:
-        results = [job(t) for t in anchors]
+    with single_blas_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(job, anchors))
+        else:
+            results = [job(t) for t in anchors]
 
     for t, payload, err in sorted(results, key=lambda item: item[0]):
         if err is not None:

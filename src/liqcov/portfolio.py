@@ -32,6 +32,10 @@ logger = logging.getLogger(__name__)
 LAMBDA_FLOOR = 0.1
 
 
+class MissingForecastError(ValueError):
+    """Raised when a posterior variant has no forecast for a trade date."""
+
+
 @dataclass(frozen=True)
 class MvProblem:
     """One day's mean-variance inputs; cap defaults to 3/N."""
@@ -261,8 +265,10 @@ def run_backtest(
 
     Weights decided on day t use information through t (the posterior
     variants use the forecast made at t for t+1) and are applied to the
-    regular returns of day t+1.  A failed day inherits the prior weights
-    and is logged on the result.
+    regular returns of day t+1.  A day that fails with a domain error
+    (ValueError or a subclass, e.g. a missing posterior forecast) inherits
+    the prior weights and is logged on the result; any other exception is
+    a bug and propagates.
     """
     q = np.asarray(q, dtype=np.float64)
     q_adj = np.asarray(q_adj, dtype=np.float64)
@@ -294,12 +300,12 @@ def run_backtest(
                 else:
                     source = posterior_adjusted if variant.is_liquidity_adjusted else posterior_regular
                     if source is None or trade_date not in source:
-                        raise KeyError(f"no posterior forecast for {trade_date}")
+                        raise MissingForecastError(f"no posterior forecast for {trade_date}")
                     sigma = source[trade_date]
                 lam = risk_aversion(market[lo:t + 1])
                 weights = solve_mv(MvProblem(mu=mu, sigma=floor_psd(sigma, 1e-12), lam=lam))
                 prev_weights = weights
-            except Exception as exc:  # noqa: BLE001 - any chain failure carries weights over
+            except ValueError as exc:
                 logger.warning("variant %d %s: %s; carrying weights forward", vid, trade_date, exc)
                 failures.append((trade_date, str(exc)))
                 weights = prev_weights

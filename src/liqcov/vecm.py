@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh as generalized_eigh
 
+from .linalg import InsufficientDataError
+
 logger = logging.getLogger(__name__)
 
 MAX_LAG = 5
@@ -33,10 +35,6 @@ TRACE_CRIT_95 = np.array([
     4.1296, 12.3212, 24.2761, 40.1749, 60.0627, 83.9383,
     111.7797, 143.6691, 179.5199, 219.4051, 263.2603, 311.1288,
 ])
-
-
-class InsufficientDataError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

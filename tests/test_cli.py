@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from liqcov import cli
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
 from liqcov.synthetic import write_synthetic_csv
 
@@ -136,6 +137,53 @@ class TestCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "timestamp,symbol,close,dollar_volume"
         assert len(lines) == 1 + 2 * 3 * 4
+
+
+class TestGridCache:
+    @staticmethod
+    def dataset(tmp_path, name, seed):
+        path = tmp_path / name
+        write_synthetic_csv(path, n_assets=3, n_days=40, minutes_per_day=16, seed=seed)
+        return str(path)
+
+    def test_other_dataset_rebuilds_grids(self, tmp_path):
+        data_a = self.dataset(tmp_path, "a.csv", 1)
+        data_b = self.dataset(tmp_path, "b.csv", 2)
+        shared = tmp_path / "shared"
+        run_liquidity(make_config(data_a, shared, window_days=20))
+        snaps_a = (shared / "snapshots.csv").read_bytes()
+        run_liquidity(make_config(data_b, shared, window_days=20))
+        run_liquidity(make_config(data_b, tmp_path / "fresh", window_days=20))
+        snaps_b = (tmp_path / "fresh" / "snapshots.csv").read_bytes()
+        assert snaps_b != snaps_a
+        assert (shared / "snapshots.csv").read_bytes() == snaps_b
+        assert (shared / "grids.csv").read_bytes() == (tmp_path / "fresh" / "grids.csv").read_bytes()
+
+    def test_completed_liquidity_stage_reuses_grids(self, tmp_path, monkeypatch):
+        data = self.dataset(tmp_path, "a.csv", 1)
+        cfg = make_config(data, tmp_path / "out", window_days=20, variants=(1,))
+        run_liquidity(cfg)
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("grids.csv of a completed liquidity stage was rebuilt")
+
+        monkeypatch.setattr(cli, "ingest_minute_csv", no_ingest)
+        run_liquidity(cfg)
+        run_backtest_stage(cfg)
+
+    def test_fresh_backtest_ingests_once(self, data_csv, tmp_path, monkeypatch):
+        calls = []
+        ingest = cli.ingest_minute_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+        # variants 5 and 6 run the forecast stage lazily on the same series
+        run_backtest_stage(make_config(data_csv, tmp_path / "out", window_days=90,
+                                       refit_stride=10))
+        assert calls == [data_csv]
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
 """GARCH(1,1) and conditional-correlation fitting and forecasting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from liqcov import dcc
+from liqcov import dcc, vecm
 from liqcov._kernels import corr_negloglik, garch11_filter, garch11_negloglik
 
 
@@ -66,6 +68,7 @@ class TestGarch:
     def test_preconditions(self):
         with pytest.raises(dcc.InsufficientDataError):
             dcc.fit_garch11(np.ones(10))
+        assert dcc.InsufficientDataError is vecm.InsufficientDataError
         with pytest.raises(ValueError, match="variance"):
             dcc.fit_garch11(np.zeros(100))
 
@@ -121,11 +124,29 @@ class TestDccFit:
         best = dcc.select_best(fit_d, fit_a)
         assert best.loglik == max(fit_d.loglik, fit_a.loglik)
 
+    @pytest.mark.parametrize("kind", ["dcc", "adcc"])
+    def test_prefit_garch_stage_gives_identical_fit(self, kind):
+        rng = np.random.default_rng(7)
+        corr = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        e = simulate_dcc(rng, 400, 0.05, 0.9, corr)
+        fresh = dcc.fit_dcc(e, kind)
+        shared = dcc.fit_dcc(e, kind, garch=dcc.fit_garch_stage(e))
+        for field in dataclasses.fields(dcc.DccFit):
+            a, b = getattr(fresh, field.name), getattr(shared, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
+    def test_prefit_garch_stage_must_match_assets(self):
+        e = np.random.default_rng(8).standard_normal((200, 2))
+        with pytest.raises(ValueError, match="GARCH fits"):
+            dcc.fit_dcc(e, "dcc", garch=dcc.fit_garch_stage(e[:, :1]))
+
     def test_select_best_rules(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((200, 2))
         base = dcc.fit_dcc(e, "dcc")
-        import dataclasses
         low = dataclasses.replace(base, kind="dcc", loglik=-100.0)
         high = dataclasses.replace(base, kind="adcc", loglik=-99.0)
         assert dcc.select_best(low, high).kind == "adcc"

@@ -1,8 +1,11 @@
 """Rolling forecast engine: coverage, stride, determinism, alignment."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from liqcov import dcc, pipeline, vecm
 from liqcov.marketdata import CalendarSpec, ingest_minute_csv
 from liqcov.pipeline import (
     assemble_series,
@@ -123,3 +126,52 @@ def test_coefficient_arrays_shape(series):
 def test_window_too_long_errors(series):
     with pytest.raises(ValueError, match="window"):
         run_forecasts(series, window_days=200)
+
+
+def test_garch_stage_fitted_once_per_window(series, monkeypatch):
+    calls = []
+    fit_garch11 = dcc.fit_garch11
+
+    def counting(resid, *args, **kwargs):
+        calls.append(resid.shape)
+        return fit_garch11(resid, *args, **kwargs)
+
+    monkeypatch.setattr(dcc, "fit_garch11", counting)
+    fset = run_forecasts(series, window_days=100, stride=5)
+    anchors = len(fset.windows) // 2
+    assert anchors == 4 and not fset.failures
+    # one fit per asset and pipeline, shared by the dcc and adcc fits
+    assert len(calls) == anchors * len(series.symbols) * 2
+
+
+def test_blas_pin_does_not_change_results(series, monkeypatch):
+    pinned = run_forecasts(series, window_days=100, stride=5)
+    monkeypatch.setattr(pipeline, "single_blas_thread", contextlib.nullcontext)
+    unpinned = run_forecasts(series, window_days=100, stride=5)
+    assert len(pinned.records) == len(unpinned.records) > 0
+    for a, b in zip(pinned.records, unpinned.records):
+        assert (a.date, a.pipeline, a.kind, a.loglik) == (b.date, b.pipeline, b.kind, b.loglik)
+        assert np.array_equal(a.omega_hat, b.omega_hat)
+        assert np.array_equal(a.sigma_post, b.sigma_post)
+    assert pinned.windows == unpinned.windows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_programming_errors_propagate(series, monkeypatch, threads):
+    def broken(*args, **kwargs):
+        raise TypeError("refactor bug")
+
+    monkeypatch.setattr(vecm, "fit_vecm", broken)
+    with pytest.raises(TypeError, match="refactor bug"):
+        run_forecasts(series, window_days=100, stride=5, threads=threads)
+
+
+def test_domain_errors_drop_anchors(series, monkeypatch):
+    def too_short(*args, **kwargs):
+        raise vecm.InsufficientDataError("window too short")
+
+    monkeypatch.setattr(vecm, "fit_vecm", too_short)
+    fset = run_forecasts(series, window_days=100, stride=5)
+    assert not fset.records
+    assert len(fset.failures) == 4
+    assert all(msg == "window too short" for _, msg in fset.failures)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from liqcov import portfolio
 from liqcov.portfolio import (
     MvProblem,
     VARIANTS,
@@ -203,8 +204,21 @@ class TestBacktest:
         )
         res = results[0]
         assert len(res.failures) == len(res.dates)
+        assert all(msg.startswith("no posterior forecast") for _, msg in res.failures)
         np.testing.assert_array_equal(res.weights[:, :dim], 0.0)
         np.testing.assert_array_equal(res.weights[:, dim], 1.0)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(problem):
+            raise TypeError("refactor bug")
+
+        monkeypatch.setattr(portfolio, "solve_mv", broken)
+        rng = np.random.default_rng(43)
+        n, dim, window = 30, 2, 10
+        q = rng.normal(0.0005, 0.01, (n, dim))
+        sigma_tt = np.tile(np.eye(dim) * 1e-4, (n, 1, 1))
+        with pytest.raises(TypeError, match="refactor bug"):
+            run_backtest(make_dates(n), q, q, sigma_tt, sigma_tt, [1], window, 365)
 
     def test_constraints_hold_every_day(self):
         rng = np.random.default_rng(41)

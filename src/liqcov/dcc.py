@@ -7,12 +7,25 @@ stationarity constraint; stage two fits the correlation dynamics
     Q_{t+1} = (1-a-b) Qbar - g Nbar + a x_t x_t' + b Q_t + g m_t m_t'   (asymmetric)
 
 on the standardized residuals x_t (m_t keeps only their negative parts),
-again by Gaussian quasi-MLE.  Both stages optimize a logistic
-reparameterization with a bounded quasi-Newton method from three fixed
-starting points, so positivity and the stationarity simplex hold by
-construction and results are deterministic.  The one-step covariance
-forecast recombines the per-asset variance forecasts with the rescaled
-correlation forecast.
+again by Gaussian quasi-MLE.  Both stages minimize the per-observation
+negative log-likelihood with L-BFGS-B and exact gradients, from three fixed
+starting points plus one restart from the best of them, so results are
+deterministic.  The fits run on box-bounded coordinates in which positivity
+and the stationarity simplex are the box itself:
+
+    GARCH:  p = alpha + beta in [0, cap], r = alpha / p in [0, 1],
+            u = log(omega / var_s) in [-25, 5]
+    (A)DCC: v1 = b / cap, v2 = a / (cap - b),
+            v3 = g / (cap - b - a)  (asymmetric model only), each in [0, 1]
+
+A parameter can therefore sit exactly on a constraint (a = 0, say), and no
+coordinate's derivative vanishes as a parameter approaches zero.  The
+correlation stick breaks from b, so the one place where a coordinate loses
+its effect is b at the cap; a break from s = a + b + g would lose it at
+s = 0, the no-dynamics corner that weakly correlated windows fit.
+
+The one-step covariance forecast recombines the per-asset variance
+forecasts with the rescaled correlation forecast.
 """
 
 from __future__ import annotations
@@ -23,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logit
 
 from ._kernels import LOG_2PI, corr_negloglik, garch11_filter, garch11_negloglik
 from .linalg import InsufficientDataError, floor_psd, min_eigenvalue, symmetrize
@@ -37,31 +49,45 @@ _GARCH_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.02, 0.95))
 _DCC_STARTS = ((0.05, 0.90), (0.02, 0.95), (1e-4, 1e-4))
 _ADCC_STARTS = ((0.03, 0.90, 0.03), (0.01, 0.95, 0.02), (1e-4, 1e-4, 1e-4))
 
+_GARCH_BOUNDS = ((0.0, MAX_PERSISTENCE), (0.0, 1.0), (-25.0, 5.0))
+# Bound on a + b + g in the correlation fits: the cap less a margin for the
+# few ulps by which the three parts, summed in floating point, can exceed it.
+_CORR_CAP = MAX_PERSISTENCE - 1e-12
+
 _GARCH_FALLBACK = (0.05, 0.90)
 _DCC_FALLBACK = (0.02, 0.95)
 
 
-def _minimize_fd(raw, x0: np.ndarray, bounds) -> "object":
-    """Bounded quasi-Newton with a lean forward-difference gradient.
+def _minimize_fd(fun, x0: np.ndarray, bounds) -> "object":
+    """One bounded L-BFGS-B solve of ``fun``, which returns (value, gradient).
 
-    The likelihood kernels evaluate in microseconds, so the generic
-    numerical-differentiation machinery would dominate the fit time; this
-    hands the optimizer an explicit (value, gradient) callable instead.
+    The tolerances are tight because the gradient is exact.  With scipy's
+    defaults the relative-reduction test ended some fits of weak correlation
+    dynamics, where the likelihood is flat, short of the optimum.  (The name
+    is kept because perfbench's tracer counts solves through it.)
     """
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                    options={"ftol": 1e-13, "gtol": 1e-9})
 
-    def fun_and_grad(x):
-        f0 = raw(x)
-        grad = np.zeros_like(x)
-        if not np.isfinite(f0):
-            return f0, grad
-        for k in range(x.size):
-            step = 1e-7 * max(1.0, abs(x[k]))
-            xk = x.copy()
-            xk[k] += step
-            grad[k] = (raw(xk) - f0) / step
-        return f0, grad
 
-    return minimize(fun_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds)
+def _fit_box(fun, starts, bounds) -> np.ndarray | None:
+    """Minimize ``fun`` from each start, then once more from the best optimum.
+
+    A solve can end early (on its relative-reduction test or a failed line
+    search) with the gradient still clearly nonzero; the second solve from
+    that point, with fresh curvature memory, carries on.  Returns the best
+    point, or None if no solve ends finite.
+    """
+    best_x, best_val = None, np.inf
+    for x0 in starts:
+        res = _minimize_fd(fun, np.asarray(x0, dtype=np.float64), bounds)
+        if np.isfinite(res.fun) and res.fun < best_val:
+            best_x, best_val = res.x, float(res.fun)
+    if best_x is not None:
+        res = _minimize_fd(fun, best_x, bounds)
+        if np.isfinite(res.fun) and res.fun < best_val:
+            best_x = res.x
+    return best_x
 
 
 @dataclass(frozen=True)
@@ -106,10 +132,10 @@ class DccFit:
 
 
 def _garch_from_x(x: np.ndarray, var_scale: float) -> tuple[float, float, float]:
-    persistence = MAX_PERSISTENCE * expit(x[0])
-    alpha = persistence * expit(x[1])
+    persistence, share, log_scale = x
+    alpha = persistence * share
     beta = persistence - alpha
-    omega = var_scale * np.exp(x[2])
+    omega = var_scale * np.exp(log_scale)
     return omega, alpha, beta
 
 
@@ -130,19 +156,18 @@ def fit_garch11(series, min_obs: int = GARCH_MIN_OBS) -> Garch11Params:
         raise ValueError("residual series has zero variance")
 
     def objective(x):
+        persistence, share, _ = x
         omega, alpha, beta = _garch_from_x(x, var_s)
-        return garch11_negloglik(eps2, omega, alpha, beta, var_s)
+        nll, grad = garch11_negloglik(eps2, omega, alpha, beta, var_s)
+        g_omega, g_alpha, g_beta = grad / n
+        return nll / n, np.array([
+            share * g_alpha + (1.0 - share) * g_beta,
+            persistence * (g_alpha - g_beta),
+            omega * g_omega,
+        ])
 
-    best_x, best_val = None, np.inf
-    for a0, b0 in _GARCH_STARTS:
-        s0 = a0 + b0
-        x0 = np.array([logit(s0 / MAX_PERSISTENCE), logit(a0 / s0), np.log(1.0 - s0)])
-        res = _minimize_fd(
-            objective, x0,
-            bounds=[(-30.0, 30.0), (-30.0, 30.0), (-25.0, 5.0)],
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_x, best_val = res.x, float(res.fun)
+    starts = [(a0 + b0, a0 / (a0 + b0), np.log(1.0 - a0 - b0)) for a0, b0 in _GARCH_STARTS]
+    best_x = _fit_box(objective, starts, _GARCH_BOUNDS)
     if best_x is None:
         logger.warning("GARCH optimizer failed; variance-targeting fallback used")
         a0, b0 = _GARCH_FALLBACK
@@ -151,18 +176,33 @@ def fit_garch11(series, min_obs: int = GARCH_MIN_OBS) -> Garch11Params:
     return Garch11Params(omega=float(omega), alpha=float(alpha), beta=float(beta))
 
 
-def _dcc_from_x(x: np.ndarray) -> tuple[float, float, float]:
-    s = MAX_PERSISTENCE * expit(x[0])
-    a = s * expit(x[1])
-    return a, s - a, 0.0
+def _corr_from_x(x: np.ndarray) -> tuple[tuple[float, float, float], np.ndarray]:
+    """(a, b, g) from the box coordinates (v1, v2[, v3]), and its Jacobian.
+
+    Stick-breaking from b: b = cap v1, a = (cap - b) v2 and
+    g = (cap - b - a) v3.  The symmetric model has no v3; g is then 0.
+    """
+    v1, v2 = x[0], x[1]
+    v3 = x[2] if x.size == 3 else 0.0
+    b = _CORR_CAP * v1
+    rem = _CORR_CAP - b
+    a = rem * v2
+    rem_g = rem - a
+    jac = np.array([
+        [-_CORR_CAP * v2, rem, 0.0],
+        [_CORR_CAP, 0.0, 0.0],
+        [-_CORR_CAP * (1.0 - v2) * v3, -rem * v3, rem_g],
+    ])
+    return (a, b, rem_g * v3), jac[:, :x.size]
 
 
-def _adcc_from_x(x: np.ndarray) -> tuple[float, float, float]:
-    s = MAX_PERSISTENCE * expit(x[0])
-    a = s * expit(x[1])
-    rem = s - a
-    b = rem * expit(x[2])
-    return a, b, rem - b
+def _corr_starts(kind: str) -> list[tuple[float, ...]]:
+    starts = []
+    for start in (_DCC_STARTS if kind == "dcc" else _ADCC_STARTS):
+        a, b = start[0], start[1]
+        x0 = (b / _CORR_CAP, a / (_CORR_CAP - b))
+        starts.append(x0 if kind == "dcc" else x0 + (start[2] / (_CORR_CAP - b - a),))
+    return starts
 
 
 def _standardize(residuals: np.ndarray, garch: tuple[Garch11Params, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -216,39 +256,26 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     if dim == 1:
         a, b, g = 0.0, 0.0, 0.0
     else:
-        from_x = _dcc_from_x if kind == "dcc" else _adcc_from_x
-        starts = _DCC_STARTS if kind == "dcc" else _ADCC_STARTS
-
         def objective(x):
-            a_, b_, g_ = from_x(x)
-            return corr_negloglik(xi, neg, obar, nbar, a_, b_, g_)[0]
+            params, jac = _corr_from_x(x)
+            nll, grad, _ = corr_negloglik(xi, neg, obar, nbar, *params)
+            return nll / n, (grad / n) @ jac
 
-        best_x, best_val = None, np.inf
-        for start in starts:
-            s0 = sum(start)
-            x0 = [logit(s0 / MAX_PERSISTENCE), logit(start[0] / s0)]
-            if kind == "adcc":
-                rem = s0 - start[0]
-                x0.append(logit(start[1] / rem))
-            res = _minimize_fd(
-                objective, np.array(x0),
-                bounds=[(-30.0, 30.0)] * len(x0),
-            )
-            if np.isfinite(res.fun) and res.fun < best_val:
-                best_x, best_val = res.x, float(res.fun)
+        bounds = [(0.0, 1.0)] * (2 if kind == "dcc" else 3)
+        best_x = _fit_box(objective, _corr_starts(kind), bounds)
         if best_x is None:
             logger.warning("%s optimizer failed; boundary fallback used", kind)
             a, b = _DCC_FALLBACK
             g = 0.0
             fallback = True
         else:
-            a, b, g = from_x(best_x)
+            (a, b, g), _ = _corr_from_x(best_x)
 
-    nll_corr, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
+    nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
     if not np.isfinite(nll_corr):
         # fallback parameters must at least produce a valid recursion
         a, b, g, fallback = 0.0, 0.0, 0.0, True
-        nll_corr, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
+        nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
     vol_term = 0.5 * float(np.sum(np.log(h2)))
     loglik = -(nll_corr + 0.5 * n * dim * LOG_2PI + vol_term)
 

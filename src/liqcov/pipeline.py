@@ -265,8 +265,19 @@ def run_forecasts(
     (ValueError and its subclasses: too-short windows, singular matrices,
     degenerate days, LinAlgError) fail an anchor; any other exception is a
     bug and propagates.  The anchors run with BLAS on one thread.
+
+    Hard limits are checked before the first fit: no more assets than the
+    trace test has critical values for, and a window of at least 10 days
+    per asset.
     """
     n = series.n_days
+    n_assets = len(series.symbols)
+    max_assets = vecm_mod.TRACE_CRIT_95.shape[0]
+    if n_assets > max_assets:
+        raise ValueError(f"{n_assets} assets exceed the trace test's tabulated {max_assets}")
+    if window_days < 10 * n_assets:
+        raise ValueError(f"window of {window_days} days is below 10 days per asset "
+                         f"({10 * n_assets} for {n_assets} assets)")
     if window_days >= n:
         raise ValueError(f"window of {window_days} needs more than {n} days of data")
     if stride < 1:

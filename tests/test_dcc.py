@@ -1,13 +1,16 @@
 """GARCH(1,1) and conditional-correlation fitting and forecasting."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from liqcov import dcc, vecm
+from liqcov import dcc, pipeline, vecm
 from liqcov._kernels import corr_negloglik, garch11_filter, garch11_negloglik
+from liqcov.marketdata import CalendarSpec, ingest_minute_csv
+from liqcov.synthetic import write_synthetic_csv
 
 
 def simulate_garch(rng, n, omega, alpha, beta):
@@ -44,7 +47,7 @@ class TestGarch:
         var_s = float(eps2.mean())
 
         res = minimize_scalar(
-            lambda w: garch11_negloglik(eps2, w, 0.0, 0.0, var_s),
+            lambda w: garch11_negloglik(eps2, w, 0.0, 0.0, var_s)[0],
             bounds=(1e-6, 2.0), method="bounded",
             options={"xatol": 1e-12},
         )
@@ -83,7 +86,7 @@ class TestDccFit:
         np.fill_diagonal(obar, 1.0)
         neg = np.where(xi < 0, xi, 0.0)
         nbar = np.zeros((2, 2))
-        nll, _ = corr_negloglik(xi, neg, obar, nbar, 0.0, 0.0, 0.0)
+        nll = corr_negloglik(xi, neg, obar, nbar, 0.0, 0.0, 0.0)[0]
         # constant-correlation oracle
         inv = np.linalg.inv(obar)
         _, logdet = np.linalg.slogdet(obar)
@@ -110,8 +113,8 @@ class TestDccFit:
         neg = np.where(xi < 0, xi, 0.0)
         nbar = neg.T @ neg / 300
         assert np.all(nbar == 0.0)
-        nll_dcc, _ = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.0)
-        nll_adcc, _ = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.03)
+        nll_dcc = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.0)[0]
+        nll_adcc = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.03)[0]
         assert nll_adcc == pytest.approx(nll_dcc, rel=1e-12)
 
     def test_adcc_stationarity_and_selection(self):
@@ -161,9 +164,81 @@ class TestDccFit:
         h2, xi = dcc._standardize(e, fit.garch)
         xi = np.ascontiguousarray(xi)
         neg = np.ascontiguousarray(np.where(xi < 0, xi, 0.0))
-        nll_const, _ = corr_negloglik(xi, neg, fit.obar, fit.nbar, 0.0, 0.0, 0.0)
-        nll_fit, _ = corr_negloglik(xi, neg, fit.obar, fit.nbar, fit.a, fit.b, fit.g)
+        nll_const = corr_negloglik(xi, neg, fit.obar, fit.nbar, 0.0, 0.0, 0.0)[0]
+        nll_fit = corr_negloglik(xi, neg, fit.obar, fit.nbar, fit.a, fit.b, fit.g)[0]
         assert nll_fit <= nll_const + 1e-9
+
+
+class TestBoxCoordinates:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_jacobian_matches_central_differences(self, size):
+        x = np.array([0.7, 0.3, 0.6])[:size]
+        _, jac = dcc._corr_from_x(x)
+        numeric = np.empty((3, size))
+        for k in range(size):
+            up, down = x.copy(), x.copy()
+            up[k] += 1e-6
+            down[k] -= 1e-6
+            numeric[:, k] = (np.array(dcc._corr_from_x(up)[0])
+                             - np.array(dcc._corr_from_x(down)[0])) / 2e-6
+        np.testing.assert_allclose(jac, numeric, atol=1e-9)
+
+    def test_box_maps_into_the_stationarity_simplex(self):
+        rng = np.random.default_rng(13)
+        points = rng.random((4000, 3))
+        points[rng.random(points.shape) < 0.3] = 1.0     # faces where a + b + g = cap
+        for v in points:
+            for x in (v[:2], v):
+                a, b, g = dcc._corr_from_x(x)[0]
+                assert min(a, b, g) >= 0.0
+                assert a + b + g <= dcc.MAX_PERSISTENCE
+                assert x.size == 3 or g == 0.0
+
+    def test_starts_map_back_to_the_start_points(self):
+        for kind, starts in (("dcc", dcc._DCC_STARTS), ("adcc", dcc._ADCC_STARTS)):
+            for x0, start in zip(dcc._corr_starts(kind), starts):
+                params = dcc._corr_from_x(np.array(x0))[0]
+                np.testing.assert_allclose(params[:len(start)], start, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def bundled_windows(tmp_path_factory):
+    """Return windows of the bundled series (8 assets x 600 days x 48
+    minutes, window 365) at anchors 364-367, regular and adjusted."""
+    path = tmp_path_factory.mktemp("bundled") / "bundled.csv"
+    write_synthetic_csv(path, n_assets=8, n_days=600, minutes_per_day=48, seed=7)
+    grids = ingest_minute_csv(path, CalendarSpec.crypto(48)).grids
+    series = pipeline.assemble_series(pipeline.snapshots_from_grids(grids))
+    return [q[t - 364:t + 1] for t in range(364, 368) for q in (series.q, series.q_adj)]
+
+
+def test_bundled_fits_are_optima(bundled_windows):
+    """Neither a start point, nor a feasible step of 0.001 in a, b or g, nor
+    a point of a coarse grid beats a fit by more than 1e-6 relative, and
+    ADCC, which nests DCC, is never below it."""
+    grid = [np.array(p) for p in itertools.product(
+        (0.0, 0.005, 0.01, 0.02, 0.05), (0.0, 0.3, 0.5, 0.7, 0.9), (0.0, 0.01, 0.03))]
+    for window in bundled_windows:
+        fit, dcc_fit, adcc_fit = pipeline._fit_window_pipeline(window)
+        _, xi = dcc._standardize(fit.residuals, dcc_fit.garch)
+        xi = np.ascontiguousarray(xi)
+        neg = np.ascontiguousarray(np.minimum(xi, 0.0))
+        assert adcc_fit.loglik >= dcc_fit.loglik - 1e-9 * abs(dcc_fit.loglik)
+        for res, starts in ((dcc_fit, dcc._DCC_STARTS), (adcc_fit, dcc._ADCC_STARTS)):
+            best = np.array([res.a, res.b, res.g])
+            nll_fit = corr_negloglik(xi, neg, res.obar, res.nbar, *best)[0]
+            candidates = [np.array(s + (0.0,) * (3 - len(s))) for s in starts]
+            candidates += [p for p in grid if res.kind == "adcc" or p[2] == 0.0]
+            for k in range(2 if res.kind == "dcc" else 3):
+                for step in (-1e-3, 1e-3):
+                    cand = best.copy()
+                    cand[k] += step
+                    candidates.append(cand)
+            for cand in candidates:
+                if cand.min() < 0.0 or cand.sum() > dcc.MAX_PERSISTENCE:
+                    continue
+                gain = nll_fit - corr_negloglik(xi, neg, res.obar, res.nbar, *cand)[0]
+                assert gain <= 1e-6 * abs(res.loglik), (res.kind, tuple(cand), gain)
 
 
 class TestForecast:

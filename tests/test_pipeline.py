@@ -1,6 +1,7 @@
 """Rolling forecast engine: coverage, stride, determinism, alignment."""
 
 import contextlib
+import datetime as dt
 
 import numpy as np
 import pytest
@@ -126,6 +127,29 @@ def test_coefficient_arrays_shape(series):
 def test_window_too_long_errors(series):
     with pytest.raises(ValueError, match="window"):
         run_forecasts(series, window_days=200)
+
+
+def random_series(rng, n_days, n_assets):
+    eye = np.broadcast_to(np.eye(n_assets), (n_days, n_assets, n_assets))
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n_days))
+    q = rng.standard_normal((n_days, n_assets)) * 0.01
+    return pipeline.PortfolioSeries(
+        dates=dates, symbols=tuple(f"A{i}" for i in range(n_assets)),
+        q=q, q_adj=q.copy(), sigma_tt=eye * 1e-4, sigma_tt_adj=eye * 1e-4,
+        jump=eye, diff=eye, comp=eye)
+
+
+@pytest.mark.parametrize("n_assets, window_days, message", [
+    (13, 200, "trace test"),        # critical values tabulated up to 12 assets
+    (3, 29, "10 days per asset"),
+])
+def test_hard_limits_rejected_before_any_fit(monkeypatch, n_assets, window_days, message):
+    calls = []
+    monkeypatch.setattr(vecm, "fit_vecm", lambda *args, **kwargs: calls.append(args))
+    series = random_series(np.random.default_rng(12), 300, n_assets)
+    with pytest.raises(ValueError, match=message):
+        run_forecasts(series, window_days=window_days)
+    assert calls == []
 
 
 def test_garch_stage_fitted_once_per_window(series, monkeypatch):

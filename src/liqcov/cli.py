@@ -162,7 +162,7 @@ def mark_stage(manifest: dict, out_dir: str, stage: str, files: list[str]) -> No
 
 def _ensure_grids(cfg: RunConfig, manifest: dict):
     """Load the grid dump of this config's completed liquidity stage, or
-    build it from the raw minute CSV.
+    build the grids from the raw CSV and write the dump.
 
     manifest must be the one load_manifest returned for cfg, so a grids.csv
     left by another config (another data file, calendar or data kind) is
@@ -191,7 +191,9 @@ def _ensure_grids(cfg: RunConfig, manifest: dict):
              for r in result.rejected],
         )
         logger.warning("%d asset-days rejected; see %s", len(result.rejected), rej_path)
-    return read_grids_csv(grids_path)
+    # the dump's repr floats read back exactly, so the in-memory grids are
+    # what a resumed stage gets from grids.csv
+    return result.grids
 
 
 def _build_series(cfg: RunConfig, manifest: dict) -> pipeline.PortfolioSeries:

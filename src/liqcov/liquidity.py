@@ -138,28 +138,40 @@ def liquidity_adjusted_minutes(
     return r_adj, var_minute
 
 
+def _adjusted(grid: MinuteGrid) -> tuple[np.ndarray, float] | None:
+    """liquidity_adjusted_minutes of a grid, or None when the adjustment is
+    undefined (no return or volume variation, or an adjusted minute return
+    at or below -100%)."""
+    try:
+        r_adj, var_adj = liquidity_adjusted_minutes(grid.returns, grid.dollar_volume)
+    except DegenerateDayError:
+        return None
+    if np.any(r_adj <= -1.0):
+        return None
+    return r_adj, var_adj
+
+
 def asset_day(grid: MinuteGrid) -> AssetDay:
     """Day-level regular and adjusted return/volatility of one MinuteGrid.
 
     Daily volatility is sqrt(T * minute-level variance).  Days where the
-    adjustment is undefined (no return or volume variation, or an adjusted
-    minute return at or below -100%) fall back to the regular series and
-    are flagged degenerate.
+    adjustment is undefined fall back to the regular series and are flagged
+    degenerate.
     """
+    return _asset_day(grid, _adjusted(grid))
+
+
+def _asset_day(grid: MinuteGrid, adjusted: tuple[np.ndarray, float] | None) -> AssetDay:
     t = grid.returns.shape[0]
     ret = daily_compound_return(grid.returns)
     var_minute = float(np.mean((grid.returns - grid.returns.mean()) ** 2))
     vol = float(np.sqrt(t * var_minute))
-    try:
-        r_adj, var_adj = liquidity_adjusted_minutes(grid.returns, grid.dollar_volume)
-        if np.any(r_adj <= -1.0):
-            raise DegenerateDayError("adjusted minute return at or below -100%")
-        ret_adj = daily_compound_return(r_adj)
-        vol_adj = float(np.sqrt(t * var_adj))
-        degenerate = False
-    except DegenerateDayError:
-        ret_adj, vol_adj, degenerate = ret, vol, True
-    return AssetDay(grid.symbol, grid.date, ret, ret_adj, vol, vol_adj, degenerate)
+    if adjusted is None:
+        return AssetDay(grid.symbol, grid.date, ret, ret, vol, vol, True)
+    r_adj, var_adj = adjusted
+    ret_adj = daily_compound_return(r_adj)
+    vol_adj = float(np.sqrt(t * var_adj))
+    return AssetDay(grid.symbol, grid.date, ret, ret_adj, vol, vol_adj, False)
 
 
 def liquidity_betas(day: AssetDay) -> LiquidityBetas:
@@ -186,23 +198,20 @@ def intraday_covariance(grids: Sequence[MinuteGrid], adjusted: bool = False) -> 
         raise ValueError("no grids")
     t = grids[0].returns.shape[0]
     date = grids[0].date
-    cols = []
     for grid in grids:
         if grid.returns.shape[0] != t:
             raise ValueError("grids have mismatched minute counts")
         if grid.date != date:
             raise ValueError("grids are not from the same day")
-        if adjusted:
-            try:
-                col, _ = liquidity_adjusted_minutes(grid.returns, grid.dollar_volume)
-                if np.any(col <= -1.0):
-                    raise DegenerateDayError("adjusted minute return at or below -100%")
-            except DegenerateDayError:
-                col = grid.returns
-        else:
-            col = grid.returns
-        cols.append(col)
-    x = np.column_stack(cols)
+    if adjusted:
+        return _cross_product(grids, [_adjusted(g) for g in grids])
+    return _cross_product(grids, [None] * len(grids))
+
+
+def _cross_product(grids: Sequence[MinuteGrid], adjusted) -> np.ndarray:
+    """Centered cross-product of each grid's adjusted minute returns, or of
+    its raw returns where its entry of ``adjusted`` is None."""
+    x = np.column_stack([g.returns if a is None else a[0] for g, a in zip(grids, adjusted)])
     xc = x - x.mean(axis=0)
     return symmetrize(xc.T @ xc)
 
@@ -261,12 +270,14 @@ def build_snapshot(day_grids: Sequence[MinuteGrid]) -> LiquiditySnapshot:
     """Assemble the per-day portfolio bundle from one grid per asset."""
     if len(day_grids) < 1:
         raise ValueError("need at least one grid")
-    days = tuple(asset_day(g) for g in day_grids)
+    # one liquidity adjustment per asset-day, shared by both uses
+    adjusted = [_adjusted(g) for g in day_grids]
+    days = tuple(_asset_day(g, a) for g, a in zip(day_grids, adjusted))
     betas = tuple(liquidity_betas(d) for d in days)
     q = np.array([d.daily_return for d in days])
     q_adj = np.array([d.daily_liq_return for d in days])
     sigma_tt = intraday_covariance(day_grids, adjusted=False)
-    sigma_tt_adj = intraday_covariance(day_grids, adjusted=True)
+    sigma_tt_adj = _cross_product(day_grids, adjusted)
     b_jump = jump_matrix(betas)
     b_diff = diffusion_matrix(sigma_tt, sigma_tt_adj)
     b_comp = composite_matrix(b_diff, b_jump)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -179,15 +181,23 @@ def _parse_float(raw: str, name: str, line_no: int) -> float:
     return val
 
 
+_UNSEEN = object()
+
+
 def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
     """Read ``timestamp,symbol,close,dollar_volume`` rows into MinuteGrids.
 
     Timestamps are ISO-8601 UTC or epoch milliseconds (auto-detected per
-    row).  One grid is emitted per (symbol, session day) ordered by symbol
-    then date.  The first minute of each session links to the prior
+    row).  Rows need not be sorted; a repeated (symbol, timestamp) keeps
+    the last row.  One grid is emitted per (symbol, session day) ordered by
+    symbol then date.  The first minute of each session links to the prior
     session's last close when available, else carries return 0.
     """
-    per_symbol: dict[str, dict[dt.date, dict[int, tuple[float, float]]]] = {}
+    # The assets of a portfolio share their timestamps, so each distinct
+    # raw timestamp is parsed and located once.
+    located: dict[str, tuple[dt.date, int] | None] = {}
+    # (symbol, day) -> minute, close and volume of each row, in file order
+    groups: dict[tuple[str, dt.date], tuple[array, array, array]] = {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -201,7 +211,10 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
                 continue
             if len(row) != 4:
                 raise CsvParseError(line_no, f"expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], line_no)
+            raw = row[0]
+            loc = located.get(raw, _UNSEEN)
+            if loc is _UNSEEN:
+                ts = _parse_timestamp(raw, line_no)
             symbol = row[1].strip()
             if not symbol:
                 raise CsvParseError(line_no, "empty symbol")
@@ -211,39 +224,50 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
                 raise CsvParseError(line_no, f"close must be > 0, got {close}")
             if volume < 0:
                 raise CsvParseError(line_no, f"dollar_volume must be >= 0, got {volume}")
-            loc = spec.locate(ts)
+            if loc is _UNSEEN:
+                loc = located[raw] = spec.locate(ts)
             if loc is None:
                 continue
             day, minute = loc
-            per_symbol.setdefault(symbol, {}).setdefault(day, {})[minute] = (close, volume)
+            buffers = groups.get((symbol, day))
+            if buffers is None:
+                buffers = groups[(symbol, day)] = (array("q"), array("d"), array("d"))
+            buffers[0].append(minute)
+            buffers[1].append(close)
+            buffers[2].append(volume)
+    del located     # freed before the grids are allocated
 
     result = IngestResult()
     t = spec.minutes_per_day
     max_missing = int(MAX_MISSING_FRACTION * t)
-    for symbol in sorted(per_symbol):
-        prior_close: float | None = None
-        for day in sorted(per_symbol[symbol]):
-            minutes = per_symbol[symbol][day]
-            missing = t - len(minutes)
-            if missing > max_missing:
-                result.rejected.append(
-                    RejectedDay(symbol, day, missing, t, f"{missing}/{t} minutes missing")
-                )
-                # a rejected day still anchors the next session's open
-                last_minute = max(minutes)
-                prior_close = minutes[last_minute][0]
-                continue
+    prior_symbol: str | None = None
+    prior_close: float | None = None
+    for symbol, day in sorted(groups):
+        minute_buf, close_buf, volume_buf = groups.pop((symbol, day))
+        minutes = np.frombuffer(minute_buf, dtype=np.int64)
+        if symbol != prior_symbol:
+            prior_symbol, prior_close = symbol, None
+        # the last row of each minute, in minute order
+        present, first_from_end = np.unique(minutes[::-1], return_index=True)
+        last = minutes.shape[0] - 1 - first_from_end
+        closes = np.frombuffer(close_buf)[last]
+        missing = t - present.shape[0]
+        if missing > max_missing:
+            result.rejected.append(
+                RejectedDay(symbol, day, missing, t, f"{missing}/{t} minutes missing")
+            )
+        else:
+            previous = np.empty_like(closes)
+            # with no prior close the first return is c / c - 1 = 0 exactly
+            previous[0] = closes[0] if prior_close is None else prior_close
+            previous[1:] = closes[:-1]
             returns = np.zeros(t)
-            volumes = np.zeros(t)
-            ref = prior_close
-            for minute in range(t):
-                if minute in minutes:
-                    close, volume = minutes[minute]
-                    returns[minute] = 0.0 if ref is None else close / ref - 1.0
-                    volumes[minute] = volume
-                    ref = close
-            result.grids.append(MinuteGrid(symbol, day, returns, volumes))
-            prior_close = ref
+            returns[present] = closes / previous - 1.0
+            dollar_volume = np.zeros(t)
+            dollar_volume[present] = np.frombuffer(volume_buf)[last]
+            result.grids.append(MinuteGrid(symbol, day, returns, dollar_volume))
+        # a rejected day still anchors the next session's open
+        prior_close = float(closes[-1])
     return result
 
 
@@ -352,20 +376,23 @@ def write_grids_csv(path, grids: Sequence[MinuteGrid]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(GRID_HEADER)
         for grid in ordered:
-            for minute in range(grid.returns.shape[0]):
-                writer.writerow(
-                    [
-                        grid.symbol,
-                        grid.date.isoformat(),
-                        minute,
-                        repr(float(grid.returns[minute])),
-                        repr(float(grid.dollar_volume[minute])),
-                    ]
-                )
+            # the symbol is quoted as csv would quote it; minutes and finite
+            # float reprs never need quoting
+            prefix = io.StringIO()
+            csv.writer(prefix, lineterminator="").writerow([grid.symbol, grid.date.isoformat()])
+            prefix = prefix.getvalue()
+            fh.writelines(
+                f"{prefix},{minute},{r!r},{v!r}\n"
+                for minute, (r, v) in enumerate(
+                    zip(grid.returns.tolist(), grid.dollar_volume.tolist()))
+            )
 
 
 def read_grids_csv(path) -> list[MinuteGrid]:
+    """Read a write_grids_csv dump back; every grid must have the same
+    minute count and no gap or repeated minute."""
     rows: dict[tuple[str, dt.date], dict[int, tuple[float, float]]] = {}
+    first_line: dict[tuple[str, dt.date], int] = {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -374,11 +401,35 @@ def read_grids_csv(path) -> list[MinuteGrid]:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise CsvParseError(line_no, f"expected 5 fields, got {len(row)}")
-            key = (row[0], dt.date.fromisoformat(row[1]))
-            rows.setdefault(key, {})[int(row[2])] = (float(row[3]), float(row[4]))
+            try:
+                key = (row[0], dt.date.fromisoformat(row[1]))
+            except ValueError:
+                raise CsvParseError(line_no, f"bad date {row[1]!r}") from None
+            try:
+                minute = int(row[2])
+            except ValueError:
+                minute = -1
+            if minute < 0:
+                raise CsvParseError(line_no, f"bad minute {row[2]!r}")
+            value = (_parse_float(row[3], "return", line_no),
+                     _parse_float(row[4], "dollar_volume", line_no))
+            minutes = rows.get(key)
+            if minutes is None:
+                minutes = rows[key] = {}
+                first_line[key] = line_no
+            elif minute in minutes:
+                raise CsvParseError(line_no, f"repeated minute {minute} of {key[0]} {key[1]}")
+            minutes[minute] = value
     grids = []
+    t = None
     for (symbol, day), minutes in sorted(rows.items()):
-        t = max(minutes) + 1
+        if t is None:
+            t = max(minutes) + 1
+        if len(minutes) != t or max(minutes) != t - 1:
+            gap = min(set(range(t)) - minutes.keys(), default=None)
+            detail = (f"minute {gap} missing" if gap is not None
+                      else f"{max(minutes) + 1} minutes, expected {t}")
+            raise CsvParseError(first_line[(symbol, day)], f"{symbol} {day}: {detail}")
         returns = np.array([minutes[m][0] for m in range(t)])
         volume = np.array([minutes[m][1] for m in range(t)])
         grids.append(MinuteGrid(symbol, day, returns, volume))

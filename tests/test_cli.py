@@ -171,6 +171,25 @@ class TestGridCache:
         run_liquidity(cfg)
         run_backtest_stage(cfg)
 
+    def test_fresh_stage_keeps_its_grids_in_memory(self, tmp_path, monkeypatch):
+        data = self.dataset(tmp_path, "a.csv", 1)
+        cfg = make_config(data, tmp_path / "out", window_days=20)
+        reads = []
+        read = cli.read_grids_csv
+
+        def counting(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_grids_csv", counting)
+        fresh = run_liquidity(cfg)
+        assert reads == []
+        resumed = run_liquidity(cfg)
+        assert reads == [str(tmp_path / "out" / "grids.csv")]
+        assert (fresh.dates, fresh.symbols) == (resumed.dates, resumed.symbols)
+        for name in ("q", "q_adj", "sigma_tt", "sigma_tt_adj", "jump", "diff", "comp"):
+            assert np.array_equal(getattr(fresh, name), getattr(resumed, name)), name
+
     def test_fresh_backtest_ingests_once(self, data_csv, tmp_path, monkeypatch):
         calls = []
         ingest = cli.ingest_minute_csv

@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from liqcov import liquidity
 from liqcov.linalg import SingularMatrixError
 from liqcov.liquidity import (
     DegenerateDayError,
@@ -278,6 +279,24 @@ class TestSnapshot:
         assert day.daily_return == 0.0 and day.daily_liq_return == 0.0
         betas = liquidity_betas(day)
         assert betas == LiquidityBetas(1.0, 1.0, True)
+
+    def test_one_adjustment_per_asset_day(self, monkeypatch):
+        calls = []
+        adjust = liquidity.liquidity_adjusted_minutes
+
+        def counting(returns, volumes):
+            calls.append(1)
+            return adjust(returns, volumes)
+
+        monkeypatch.setattr(liquidity, "liquidity_adjusted_minutes", counting)
+        rng = np.random.default_rng(19)
+        grids = [make_grid(rng, f"A{i}") for i in range(3)]
+        grids.append(MinuteGrid("Z", grids[0].date, np.zeros(48), np.ones(48)))  # degenerate
+        snap = build_snapshot(grids)
+        assert len(calls) == 4
+        monkeypatch.setattr(liquidity, "liquidity_adjusted_minutes", adjust)
+        assert snap.asset_days == tuple(asset_day(g) for g in grids)
+        assert np.array_equal(snap.sigma_tt_adj, intraday_covariance(grids, adjusted=True))
 
     def test_capped_properties(self):
         snap = self.build()

@@ -1,15 +1,21 @@
 """Minute-grid ingestion, tick aggregation, and day-level compounding."""
 
+import csv
 import datetime as dt
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from liqcov.marketdata import (
     CalendarSpec,
+    MAX_MISSING_FRACTION,
     CsvParseError,
     DomainError,
+    IngestResult,
     MinuteGrid,
+    RejectedDay,
     aggregate_ticks,
     daily_compound_return,
     group_by_day,
@@ -18,6 +24,8 @@ from liqcov.marketdata import (
     read_grids_csv,
     write_grids_csv,
 )
+from liqcov.marketdata import _parse_float, _parse_timestamp
+from liqcov.synthetic import write_synthetic_csv
 
 UTC = dt.timezone.utc
 
@@ -92,10 +100,11 @@ class TestIngest:
 
     def test_serialize_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(5)
+        # a symbol with a comma and a quote must come back as written
         grids = [
-            MinuteGrid("AAA", dt.date(2021, 3, 1 + d),
+            MinuteGrid(sym, dt.date(2021, 3, 1 + d),
                        rng.normal(0, 1e-3, 8), rng.lognormal(3, 1, 8))
-            for d in range(3)
+            for sym in ("AAA", 'B,"B') for d in range(3)
         ]
         path = tmp_path / "grids.csv"
         write_grids_csv(path, grids)
@@ -104,9 +113,170 @@ class TestIngest:
         write_grids_csv(path2, round1)
         round2 = read_grids_csv(path2)
         assert path.read_bytes() == path2.read_bytes()
+        assert [(g.symbol, g.date) for g in round1] == [(g.symbol, g.date) for g in grids]
         for g1, g2 in zip(round1, round2):
             assert np.array_equal(g1.returns, g2.returns)
             assert np.array_equal(g1.dollar_volume, g2.dollar_volume)
+
+
+def _ingest_oracle(path, spec):
+    """Row-by-row reference for ingest_minute_csv on well-formed input:
+    nested symbol -> day -> minute dicts, one timestamp parse per row."""
+    per_symbol = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            loc = spec.locate(_parse_timestamp(row[0], line_no))
+            if loc is None:
+                continue
+            close = _parse_float(row[2], "close", line_no)
+            volume = _parse_float(row[3], "dollar_volume", line_no)
+            day, minute = loc
+            per_symbol.setdefault(row[1].strip(), {}).setdefault(day, {})[minute] = (close, volume)
+    result = IngestResult()
+    t = spec.minutes_per_day
+    max_missing = int(MAX_MISSING_FRACTION * t)
+    for symbol in sorted(per_symbol):
+        prior_close = None
+        for day in sorted(per_symbol[symbol]):
+            minutes = per_symbol[symbol][day]
+            missing = t - len(minutes)
+            if missing > max_missing:
+                result.rejected.append(
+                    RejectedDay(symbol, day, missing, t, f"{missing}/{t} minutes missing"))
+                prior_close = minutes[max(minutes)][0]
+                continue
+            returns = np.zeros(t)
+            volumes = np.zeros(t)
+            ref = prior_close
+            for minute in range(t):
+                if minute in minutes:
+                    close, volume = minutes[minute]
+                    returns[minute] = 0.0 if ref is None else close / ref - 1.0
+                    volumes[minute] = volume
+                    ref = close
+            result.grids.append(MinuteGrid(symbol, day, returns, volumes))
+            prior_close = ref
+    return result
+
+
+def _random_minute_rows(seed, spec, n_symbols=3, n_days=6):
+    """Shuffled rows with gaps, repeated timestamps, rejected days, rows
+    outside the session and three timestamp spellings of the same instant."""
+    rng = random.Random(seed)
+    t = spec.minutes_per_day
+    first = dt.date(2021, 3, 1)
+    rows = []
+
+    def spell(ts):
+        form = rng.randrange(3)
+        if form == 0:
+            return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+        if form == 1:
+            return str(int(ts.timestamp()) * 1000)
+        return ts.astimezone(dt.timezone(dt.timedelta(hours=2))).isoformat()
+
+    for s in range(n_symbols):
+        price = 100.0 * (s + 1)
+        for d in range(n_days):
+            start = spec.session_start(first + dt.timedelta(days=d))
+            # day 1 of every symbol is rejected, day 2 keeps a gap below the
+            # limit, the rest lose a random handful of minutes
+            drop = {1: 0.5, 2: 0.1}.get(d, rng.choice((0.0, 0.05, 0.4)))
+            for m in range(-2, t + 3):     # two minutes either side of the session
+                if 0 <= m < t and rng.random() < drop:
+                    continue
+                price *= 1.0 + rng.gauss(0.0, 1e-3)
+                ts = start + dt.timedelta(minutes=m, seconds=rng.randrange(60))
+                rows.append(f"{spell(ts)},S{s},{price!r},{rng.uniform(0, 1e4)!r}")
+                if rng.random() < 0.1:     # the same timestamp again, other values
+                    rows.append(f"{spell(ts)},S{s},{price * 1.01!r},{rng.uniform(0, 1e4)!r}")
+    rng.shuffle(rows)
+    return rows
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec", [CalendarSpec.crypto(30), CalendarSpec.equity(30)],
+                             ids=["crypto-00:00", "equity-13:30"])
+    def test_matches_nested_dict_oracle(self, tmp_path, seed, spec):
+        path = minute_csv(tmp_path, _random_minute_rows(seed, spec))
+        got = ingest_minute_csv(path, spec)
+        want = _ingest_oracle(path, spec)
+        assert got.rejected == want.rejected
+        assert [(g.symbol, g.date) for g in got.grids] == [(g.symbol, g.date) for g in want.grids]
+        for g, w in zip(got.grids, want.grids):
+            assert np.array_equal(g.returns, w.returns)
+            assert np.array_equal(g.dollar_volume, w.dollar_volume)
+        # the input covers what the oracle is there to check
+        assert {r.date.day for r in want.rejected} >= {2}
+        assert any(g.date.day == 3 and g.returns[0] != 0.0 for g in want.grids)
+
+    def test_repeated_timestamp_keeps_last_row(self, tmp_path):
+        rows = [f"{stamp(1, m)},AAA,100.0,1.0" for m in range(4)]
+        rows += [f"{stamp(1, 2)},AAA,110.0,9.0"]
+        grid = ingest_minute_csv(minute_csv(tmp_path, rows), CalendarSpec.crypto(4)).grids[0]
+        assert grid.returns[2] == pytest.approx(0.1) and grid.dollar_volume[2] == 9.0
+        assert grid.returns[3] == pytest.approx(100.0 / 110.0 - 1.0)
+
+    def test_peak_memory_stays_near_the_grids(self, tmp_path):
+        path = tmp_path / "minutes.csv"
+        write_synthetic_csv(path, n_assets=4, n_days=10, minutes_per_day=1440, seed=3)
+        tracemalloc.start()
+        try:
+            result = ingest_minute_csv(path, CalendarSpec.crypto(1440))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = sum(g.returns.nbytes + g.dollar_volume.nbytes for g in result.grids)
+        assert len(result.grids) == 40
+        assert peak <= 8 * grid_bytes
+
+
+class TestReadGridsCsv:
+    @staticmethod
+    def dump(tmp_path, edit):
+        grids = [MinuteGrid(sym, dt.date(2021, 3, d), np.full(4, 0.001), np.ones(4))
+                 for sym in ("AAA", "BBB") for d in (1, 2)]
+        path = tmp_path / "grids.csv"
+        write_grids_csv(path, grids)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_minute_gap_names_symbol_and_date(self, tmp_path):
+        # lines 6-9 hold AAA's second day; drop its minute 2
+        path = self.dump(tmp_path, lambda lines: lines.pop(7))
+        with pytest.raises(CsvParseError, match="line 6: AAA 2021-03-02: minute 2 missing"):
+            read_grids_csv(path)
+
+    def test_short_grid_rejected(self, tmp_path):
+        path = self.dump(tmp_path, lambda lines: lines.pop())
+        with pytest.raises(CsvParseError, match="BBB 2021-03-02: minute 3 missing"):
+            read_grids_csv(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        (1, "2021-13-01", "bad date"),
+        (2, "x", "bad minute"),
+        (2, "-1", "bad minute"),
+        (3, "abc", "bad return"),
+        (4, "nan", "non-finite dollar_volume"),
+    ])
+    def test_bad_field_reports_line_number(self, tmp_path, field, value, message):
+        def edit(lines):
+            fields = lines[4].split(",")
+            fields[field] = value
+            lines[4] = ",".join(fields)
+
+        with pytest.raises(CsvParseError, match=f"line 5: {message}"):
+            read_grids_csv(self.dump(tmp_path, edit))
+
+    def test_repeated_minute_rejected(self, tmp_path):
+        path = self.dump(tmp_path, lambda lines: lines.insert(3, lines[2]))
+        with pytest.raises(CsvParseError, match="line 4: repeated minute 1 of AAA 2021-03-01"):
+            read_grids_csv(path)
 
 
 class TestAggregateTicks:

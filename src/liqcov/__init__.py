@@ -23,7 +23,7 @@ from .liquidity import (
 from .marketdata import AssetDay, CalendarSpec, MinuteGrid
 from .pipeline import ForecastRecord, PortfolioSeries, run_forecasts
 from .portfolio import BacktestResult, MvProblem, run_backtest, sharpe_annualized, solve_mv
-from .vecm import VecmFit, fit_vecm, forecast_one_step, johansen_trace, select_lag
+from .vecm import VecmFit, fit_vecm, johansen_trace, select_lag
 
 __all__ = [
     "AssetDay",
@@ -45,7 +45,6 @@ __all__ = [
     "fit_garch11",
     "fit_vecm",
     "forecast_covariance",
-    "forecast_one_step",
     "johansen_trace",
     "linked_posterior",
     "liquidity_adjusted_minutes",

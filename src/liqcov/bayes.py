@@ -16,33 +16,12 @@ with the two-step evaluation to float accuracy.
 
 from __future__ import annotations
 
-import datetime as dt
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .linalg import sym_inverse, symmetrize
 from .liquidity import composite_matrix
 
 TAU_DEFAULT = 1.0
-TAU_RANGE = (0.01, 10.0)
-
-
-class Pipeline(str, Enum):
-    REGULAR = "regular"
-    ADJUSTED = "liquidity_adjusted"
-
-
-@dataclass(frozen=True)
-class PosteriorRecord:
-    """One out-of-sample day's posterior covariance for one pipeline."""
-
-    date: dt.date
-    sigma_post: np.ndarray
-    tau: float
-    det_post: float
-    pipeline: Pipeline
 
 
 def posterior_covariance(sigma_prior, omega_hat, tau: float = TAU_DEFAULT) -> np.ndarray:

@@ -4,7 +4,7 @@ Runs are driven by a JSON config file; flags override config keys.  Every
 stage persists plain CSV intermediates under the output directory together
 with a manifest keyed by the hash of the run configuration, so stages can be
 skipped or resumed and identical (config, seed) pairs reproduce identical
-output trees regardless of the thread budget.
+output trees.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .synthetic import write_synthetic_csv
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("liquidity", "forecast", "backtest", "report")
-
 
 @dataclass
 class RunConfig:
@@ -55,7 +53,6 @@ class RunConfig:
     tau: float = 1.0
     variants: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     seed: int = 7
-    threads: int = 1
     periods_per_year: float | None = None
     histogram_bins: int = 50
     export_matrices: bool = False
@@ -67,8 +64,6 @@ class RunConfig:
             raise ValueError("window_days must be at least 10")
         if self.refit_stride < 1:
             raise ValueError("refit_stride must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         bad = set(self.variants) - set(range(1, 7))
         if bad:
             raise ValueError(f"unknown variants: {sorted(bad)}")
@@ -92,10 +87,8 @@ class RunConfig:
 
     def config_hash(self) -> str:
         payload = dataclasses.asdict(self)
-        # identity of the run excludes where it is written and how many
-        # threads compute it
+        # identity of the run excludes where it is written
         payload.pop("out_dir")
-        payload.pop("threads")
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -280,7 +273,6 @@ def run_forecast(cfg: RunConfig,
         window_days=cfg.window_days,
         tau=cfg.tau,
         stride=cfg.refit_stride,
-        threads=cfg.threads,
     )
     if not fset.records:
         raise click.ClickException("forecast stage produced no records; check window_days")
@@ -415,7 +407,6 @@ def _common_options(fn):
         click.option("--stride", "refit_stride", type=int, default=None),
         click.option("--tau", type=float, default=None),
         click.option("--seed", type=int, default=None),
-        click.option("--threads", type=int, default=None),
         click.option("--calendar", "asset_class",
                      type=click.Choice(["crypto", "equity"]), default=None),
     ]

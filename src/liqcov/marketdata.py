@@ -154,21 +154,30 @@ def daily_compound_return(returns: Sequence[float] | np.ndarray) -> float:
     return float(np.prod(1.0 + r) - 1.0)
 
 
+# CalendarSpec.locate shifts a timestamp back by under one day, which stays
+# representable from the second day of year 1 on.
+_EARLIEST_TIMESTAMP = dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc)
+
+
 def _parse_timestamp(raw: str, line_no: int) -> dt.datetime:
     raw = raw.strip()
     if not raw:
         raise CsvParseError(line_no, "empty timestamp")
-    if raw.isdigit() or (raw[0] in "+-" and raw[1:].isdigit()):
-        # epoch milliseconds
-        return dt.datetime.fromtimestamp(int(raw) / 1000.0, tz=dt.timezone.utc)
     try:
-        iso = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
-        ts = dt.datetime.fromisoformat(iso)
-    except ValueError as exc:
+        if raw.isdigit() or (raw[0] in "+-" and raw[1:].isdigit()):
+            # epoch milliseconds
+            ts = dt.datetime.fromtimestamp(int(raw) / 1000.0, tz=dt.timezone.utc)
+        else:
+            iso = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
+            ts = dt.datetime.fromisoformat(iso)
+            if ts.tzinfo is None:
+                ts = ts.replace(tzinfo=dt.timezone.utc)
+            ts = ts.astimezone(dt.timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
         raise CsvParseError(line_no, f"bad timestamp {raw!r}: {exc}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=dt.timezone.utc)
-    return ts.astimezone(dt.timezone.utc)
+    if ts < _EARLIEST_TIMESTAMP:
+        raise CsvParseError(line_no, f"timestamp {raw!r} is before {_EARLIEST_TIMESTAMP.date()}")
+    return ts
 
 
 def _parse_float(raw: str, name: str, line_no: int) -> float:

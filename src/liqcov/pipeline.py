@@ -10,9 +10,7 @@ prior and once on liquidity-adjusted returns with the adjusted prior.
 
 With a refit stride the coefficients stay fixed between anchors while the
 recursion states absorb each newly observed residual, so a forecast still
-comes out every day.  Anchors are independent, which makes the stage safe
-to parallelize; results are assembled in date order so the thread budget
-cannot change the output.
+comes out every day.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import csv
 import dataclasses
 import datetime as dt
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +34,6 @@ from .marketdata import MinuteGrid, group_by_day
 logger = logging.getLogger(__name__)
 
 PIPELINES = ("regular", "adjusted")
-KINDS = ("dcc", "adcc", "best")
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ def _run_anchor(
     for pipeline in PIPELINES:
         q_src = series.q if pipeline == "regular" else series.q_adj
         fit, dcc_fit, adcc_fit = _fit_window_pipeline(q_src[lo:t + 1])
-        best_kind = "adcc" if adcc_fit.loglik > dcc_fit.loglik else "dcc"
+        best_kind = dcc_mod.select_best(dcc_fit, adcc_fit).kind
         per_pipeline[pipeline] = (q_src, fit, {"dcc": dcc_fit, "adcc": adcc_fit}, best_kind)
         windows.append(WindowRecord(
             anchor_date=series.dates[t],
@@ -256,7 +252,6 @@ def run_forecasts(
     window_days: int,
     tau: float = 1.0,
     stride: int = 1,
-    threads: int = 1,
 ) -> ForecastSet:
     """Produce one ForecastRecord per out-of-sample day, pipeline, and kind.
 
@@ -264,11 +259,13 @@ def run_forecasts(
     sides aligned) and is logged on the result.  Only domain errors
     (ValueError and its subclasses: too-short windows, singular matrices,
     degenerate days, LinAlgError) fail an anchor; any other exception is a
-    bug and propagates.  The anchors run with BLAS on one thread.
+    bug and propagates.  The anchors run in date order with BLAS on one
+    thread.
 
     Hard limits are checked before the first fit: no more assets than the
-    trace test has critical values for, and a window of at least 10 days
-    per asset.
+    trace test has critical values for, a window of at least 10 days per
+    asset, and enough days that the error-correction fit leaves the
+    variance fits their minimum number of residuals.
     """
     n = series.n_days
     n_assets = len(series.symbols)
@@ -278,35 +275,25 @@ def run_forecasts(
     if window_days < 10 * n_assets:
         raise ValueError(f"window of {window_days} days is below 10 days per asset "
                          f"({10 * n_assets} for {n_assets} assets)")
+    if window_days - 1 < dcc_mod.GARCH_MIN_OBS:
+        raise ValueError(f"window of {window_days} days leaves at most {window_days - 1} "
+                         f"residuals; the variance fits need {dcc_mod.GARCH_MIN_OBS}")
     if window_days >= n:
         raise ValueError(f"window of {window_days} needs more than {n} days of data")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    anchors = list(range(window_days - 1, n - 1, stride))
 
     out = ForecastSet()
-
-    def job(t):
-        try:
-            return t, _run_anchor(series, t, window_days, stride, tau), None
-        except ValueError as exc:
-            return t, None, str(exc)
-
     with single_blas_thread():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(job, anchors))
-        else:
-            results = [job(t) for t in anchors]
-
-    for t, payload, err in sorted(results, key=lambda item: item[0]):
-        if err is not None:
-            logger.warning("forecast anchor %s failed: %s", series.dates[t], err)
-            out.failures.append((series.dates[t], err))
-            continue
-        records, windows = payload
-        out.records.extend(records)
-        out.windows.extend(windows)
+        for t in range(window_days - 1, n - 1, stride):
+            try:
+                records, windows = _run_anchor(series, t, window_days, stride, tau)
+            except ValueError as exc:
+                logger.warning("forecast anchor %s failed: %s", series.dates[t], exc)
+                out.failures.append((series.dates[t], str(exc)))
+                continue
+            out.records.extend(records)
+            out.windows.extend(windows)
     return out
 
 
@@ -383,17 +370,4 @@ def read_posteriors_csv(path) -> dict[dt.date, np.ndarray]:
         for (i, j), v in vals.items():
             mat[i, j] = v
         out[date] = mat
-    return out
-
-
-def read_forecast_dets(path) -> dict[tuple[str, str], dict[dt.date, tuple[float, float]]]:
-    """(pipeline, kind) -> date -> (det_omega, det_post) from forecasts CSV."""
-    out: dict[tuple[str, str], dict[dt.date, tuple[float, float]]] = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (row["pipeline"], row["kind"])
-            out.setdefault(key, {})[dt.date.fromisoformat(row["date"])] = (
-                float(row["det_omega"]), float(row["det_post"]),
-            )
     return out

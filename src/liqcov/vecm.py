@@ -57,18 +57,6 @@ class VecmFit:
     ridge_applied: bool = False
 
 
-@dataclass(frozen=True)
-class ReturnForecast:
-    """One-step-ahead return vector; the residual is filled once the
-    out-of-sample observation arrives (forecast minus observed)."""
-
-    q_hat: np.ndarray
-    e_hat: np.ndarray | None = None
-
-    def with_observed(self, q_obs: np.ndarray) -> "ReturnForecast":
-        return ReturnForecast(self.q_hat, self.q_hat - np.asarray(q_obs, dtype=np.float64))
-
-
 def _as_window(window) -> np.ndarray:
     y = np.asarray(window, dtype=np.float64)
     if y.ndim != 2:
@@ -319,11 +307,6 @@ def var_one_step(phi: np.ndarray, history) -> np.ndarray:
     for i in range(p):
         out += phi[i] @ h[-1 - i]
     return out
-
-
-def forecast_one_step(fit: VecmFit, history) -> ReturnForecast:
-    """One-period-ahead forecast of the return vector."""
-    return ReturnForecast(q_hat=var_one_step(fit.phi, history))
 
 
 def fitted_residual(fit: VecmFit, history, observed) -> np.ndarray:

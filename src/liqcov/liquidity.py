@@ -257,13 +257,9 @@ def composite_matrix(diff_mat: np.ndarray, jump_mat: np.ndarray) -> np.ndarray:
     return diff_mat / np.sqrt(jumps)[None, :]
 
 
-def capped_determinant_value(det: float, cap: float = DET_CAP) -> float:
-    return min(abs(det), cap)
-
-
-def capped_determinant(m: np.ndarray, cap: float = DET_CAP) -> float:
-    """|det(M)| capped at ``cap`` for reporting; callers keep the raw value."""
-    return capped_determinant_value(float(np.linalg.det(np.asarray(m, dtype=np.float64))), cap)
+def capped_determinant_value(det: float) -> float:
+    """|det| capped at DET_CAP for reporting; callers keep the raw value."""
+    return min(abs(det), DET_CAP)
 
 
 def build_snapshot(day_grids: Sequence[MinuteGrid]) -> LiquiditySnapshot:

@@ -3,10 +3,11 @@
 A trading session is a fixed grid of T minutes per (symbol, day):
 1440 for round-the-clock crypto sessions, 390 for a US equity session,
 or anything smaller for tests.  Sessions start at a configurable UTC
-time-of-day; timestamps outside the session are ignored.  Missing minutes
-are filled with return 0 / volume 0 (closes carry forward), and a day
-missing more than 20% of its minutes is rejected with a warning record
-instead of inventing prices.
+time-of-day; timestamps outside the session are ignored.  Minute bars and
+ticks share one grid builder: missing minutes are filled with return 0 /
+volume 0 (closes carry forward), and a minute-bar day missing more than 20%
+of its minutes is rejected with a warning record instead of inventing
+prices; ticks, time-sorted within each session, never reject a day.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import datetime as dt
 import io
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -193,28 +195,28 @@ def _parse_float(raw: str, name: str, line_no: int) -> float:
 _UNSEEN = object()
 
 
-def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
-    """Read ``timestamp,symbol,close,dollar_volume`` rows into MinuteGrids.
+def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
+    """Check the rows of a ``timestamp,symbol,<price>,<amount>`` CSV and
+    buffer the minute, price and volume of each in-session row per (symbol,
+    session day), in file order.
 
-    Timestamps are ISO-8601 UTC or epoch milliseconds (auto-detected per
-    row).  Rows need not be sorted; a repeated (symbol, timestamp) keeps
-    the last row.  One grid is emitted per (symbol, session day) ordered by
-    symbol then date.  The first minute of each session links to the prior
-    session's last close when available, else carries return 0.
+    The volume is the amount column, or ``price * amount`` for ticks, which
+    must be time-sorted within each (symbol, session).
     """
     # The assets of a portfolio share their timestamps, so each distinct
-    # raw timestamp is parsed and located once.
+    # raw timestamp of a minute bar is parsed and located once; a tick keeps
+    # its own timestamp for the order check.
     located: dict[str, tuple[dt.date, int] | None] = {}
-    # (symbol, day) -> minute, close and volume of each row, in file order
-    groups: dict[tuple[str, dt.date], tuple[array, array, array]] = {}
+    groups = defaultdict(lambda: (array("q"), array("d"), array("d")))
+    latest: dict[tuple[str, dt.date], dt.datetime] = {}     # last tick per session
+    price_name, amount_name = columns[2], columns[3]
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise CsvParseError(1, "empty file")
-        expected = ["timestamp", "symbol", "close", "dollar_volume"]
-        if [h.strip().lower() for h in header] != expected:
-            raise CsvParseError(1, f"expected header {','.join(expected)}")
+        if [h.strip().lower() for h in header] != columns:
+            raise CsvParseError(1, f"expected header {','.join(columns)}")
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -227,39 +229,55 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
             symbol = row[1].strip()
             if not symbol:
                 raise CsvParseError(line_no, "empty symbol")
-            close = _parse_float(row[2], "close", line_no)
-            volume = _parse_float(row[3], "dollar_volume", line_no)
-            if close <= 0:
-                raise CsvParseError(line_no, f"close must be > 0, got {close}")
-            if volume < 0:
-                raise CsvParseError(line_no, f"dollar_volume must be >= 0, got {volume}")
+            price = _parse_float(row[2], price_name, line_no)
+            amount = _parse_float(row[3], amount_name, line_no)
+            if price <= 0:
+                raise CsvParseError(line_no, f"{price_name} must be > 0, got {price}")
+            if amount < 0:
+                raise CsvParseError(line_no, f"{amount_name} must be >= 0, got {amount}")
             if loc is _UNSEEN:
-                loc = located[raw] = spec.locate(ts)
+                loc = spec.locate(ts)
+                if not ticks:
+                    located[raw] = loc
             if loc is None:
                 continue
             day, minute = loc
-            buffers = groups.get((symbol, day))
-            if buffers is None:
-                buffers = groups[(symbol, day)] = (array("q"), array("d"), array("d"))
+            key = (symbol, day)
+            if ticks:
+                if ts < latest.get(key, ts):
+                    raise CsvParseError(line_no, f"tick at {ts.isoformat()} is earlier than "
+                                                 f"the previous tick of {symbol} on {day}")
+                latest[key] = ts
+                amount *= price
+            buffers = groups[key]
             buffers[0].append(minute)
-            buffers[1].append(close)
-            buffers[2].append(volume)
-    del located     # freed before the grids are allocated
+            buffers[1].append(price)
+            buffers[2].append(amount)
+    return groups
 
+
+def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestResult:
+    """Turn the (minute, price, volume) rows buffered per (symbol, day), in
+    file order, into one grid per (symbol, day) ordered by symbol then date.
+
+    Each minute takes the price of its last row, and as volume either its
+    last row's (``sum_volume`` false) or the sum over its rows.  A day
+    missing more than ``max_missing`` minutes is rejected.  The first minute
+    of a session links to the symbol's previous session's last price, even
+    when that session was rejected, else carries return 0.
+    """
     result = IngestResult()
-    t = spec.minutes_per_day
-    max_missing = int(MAX_MISSING_FRACTION * t)
     prior_symbol: str | None = None
     prior_close: float | None = None
     for symbol, day in sorted(groups):
-        minute_buf, close_buf, volume_buf = groups.pop((symbol, day))
+        minute_buf, price_buf, volume_buf = groups.pop((symbol, day))
         minutes = np.frombuffer(minute_buf, dtype=np.int64)
         if symbol != prior_symbol:
             prior_symbol, prior_close = symbol, None
         # the last row of each minute, in minute order
         present, first_from_end = np.unique(minutes[::-1], return_index=True)
         last = minutes.shape[0] - 1 - first_from_end
-        closes = np.frombuffer(close_buf)[last]
+        closes = np.frombuffer(price_buf)[last]
         missing = t - present.shape[0]
         if missing > max_missing:
             result.rejected.append(
@@ -272,104 +290,47 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
             previous[1:] = closes[:-1]
             returns = np.zeros(t)
             returns[present] = closes / previous - 1.0
-            dollar_volume = np.zeros(t)
-            dollar_volume[present] = np.frombuffer(volume_buf)[last]
+            volumes = np.frombuffer(volume_buf)
+            if sum_volume:
+                # bincount adds in file order, as a running sum would
+                dollar_volume = np.bincount(minutes, weights=volumes, minlength=t)
+            else:
+                dollar_volume = np.zeros(t)
+                dollar_volume[present] = volumes[last]
             result.grids.append(MinuteGrid(symbol, day, returns, dollar_volume))
-        # a rejected day still anchors the next session's open
         prior_close = float(closes[-1])
     return result
 
 
-def aggregate_ticks(
-    ticks: Iterable[tuple[dt.datetime, float, float]],
-    spec: CalendarSpec,
-    symbol: str = "",
-    prior_close: float | None = None,
-) -> MinuteGrid:
-    """Aggregate time-sorted (timestamp, price, size) ticks of one session.
+def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
+    """Read ``timestamp,symbol,close,dollar_volume`` rows into MinuteGrids.
 
-    Produces per-minute last price and summed dollar amount (price * size);
-    minutes with no ticks carry return 0 and volume 0.
+    Timestamps are ISO-8601 UTC or epoch milliseconds (auto-detected per
+    row).  Rows need not be sorted; a repeated (symbol, timestamp) keeps
+    the last row.  One grid is emitted per (symbol, session day) ordered by
+    symbol then date, and a day missing more than 20% of its minutes is
+    rejected.  The first minute of each session links to the prior
+    session's last close when available, else carries return 0.
     """
+    groups = _buffer_rows(path, spec, ["timestamp", "symbol", "close", "dollar_volume"],
+                          ticks=False)
     t = spec.minutes_per_day
-    last_price = np.full(t, np.nan)
-    volume = np.zeros(t)
-    prev_ts: dt.datetime | None = None
-    day: dt.date | None = None
-    for ts, price, size in ticks:
-        if prev_ts is not None and ts < prev_ts:
-            raise ValueError(f"ticks not time-sorted at {ts}")
-        prev_ts = ts
-        loc = spec.locate(ts)
-        if loc is None:
-            continue
-        tick_day, minute = loc
-        if day is None:
-            day = tick_day
-        elif tick_day != day:
-            raise ValueError("ticks span more than one session")
-        last_price[minute] = price
-        volume[minute] += price * size
-    if day is None:
-        raise ValueError("no ticks inside the session window")
-    returns = np.zeros(t)
-    ref = prior_close
-    for minute in range(t):
-        if not np.isnan(last_price[minute]):
-            if ref is not None:
-                returns[minute] = last_price[minute] / ref - 1.0
-            ref = last_price[minute]
-    return MinuteGrid(symbol, day, returns, volume)
+    return _build_grids(groups, t, int(MAX_MISSING_FRACTION * t), sum_volume=False)
 
 
 def ingest_tick_csv(path, spec: CalendarSpec) -> IngestResult:
     """Read ``timestamp,symbol,price,size`` tick rows into MinuteGrids.
 
-    Rows are grouped per (symbol, session day) and aggregated to per-minute
-    last price and dollar volume.  Quiet minutes carry return 0 / volume 0;
-    unlike minute bars, an empty minute is normal in tick data, so no
-    day-level rejection applies.  The first minute of a session links to the
-    prior session's last traded price when available.
+    Ticks must be time-sorted within each (symbol, session); one earlier
+    than the previous tick of its session raises CsvParseError at its line.
+    Each minute takes its last price and the summed ``price * size``.
+    Quiet minutes are normal in tick data, so no day is rejected.  The first
+    minute of a session links to the prior session's last traded price when
+    available.
     """
-    groups: dict[str, dict[dt.date, list[tuple[dt.datetime, float, float]]]] = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError(1, "empty file")
-        expected = ["timestamp", "symbol", "price", "size"]
-        if [h.strip().lower() for h in header] != expected:
-            raise CsvParseError(1, f"expected header {','.join(expected)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise CsvParseError(line_no, f"expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], line_no)
-            symbol = row[1].strip()
-            if not symbol:
-                raise CsvParseError(line_no, "empty symbol")
-            price = _parse_float(row[2], "price", line_no)
-            size = _parse_float(row[3], "size", line_no)
-            if price <= 0:
-                raise CsvParseError(line_no, f"price must be > 0, got {price}")
-            if size < 0:
-                raise CsvParseError(line_no, f"size must be >= 0, got {size}")
-            loc = spec.locate(ts)
-            if loc is None:
-                continue
-            day, _ = loc
-            groups.setdefault(symbol, {}).setdefault(day, []).append((ts, price, size))
-
-    result = IngestResult()
-    for symbol in sorted(groups):
-        prior_close: float | None = None
-        for day in sorted(groups[symbol]):
-            ticks = groups[symbol][day]
-            grid = aggregate_ticks(ticks, spec, symbol=symbol, prior_close=prior_close)
-            prior_close = ticks[-1][1]
-            result.grids.append(grid)
-    return result
+    groups = _buffer_rows(path, spec, ["timestamp", "symbol", "price", "size"], ticks=True)
+    t = spec.minutes_per_day
+    return _build_grids(groups, t, t, sum_volume=True)
 
 
 # ---------------------------------------------------------------------------

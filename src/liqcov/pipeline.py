@@ -140,11 +140,12 @@ class ForecastSet:
         values = [r.det_omega if what == "omega" else r.det_post for r in recs]
         return [r.date for r in recs], np.array(values)
 
-    def posteriors(self, pipeline: str, kind: str = "best") -> dict[dt.date, np.ndarray]:
+    def posteriors(self, pipeline: str) -> dict[dt.date, np.ndarray]:
+        """The posterior of the better correlation model per day."""
         return {
             r.date: r.sigma_post
             for r in self.records
-            if r.pipeline == pipeline and r.kind == kind
+            if r.pipeline == pipeline and r.kind == "best"
         }
 
     def coefficients(self, pipeline: str) -> dict[str, np.ndarray]:
@@ -158,9 +159,10 @@ class ForecastSet:
 
 def _fit_window_pipeline(q_window: np.ndarray):
     """Lag, rank, ECM fit, one GARCH stage and both correlation fits for one window."""
-    lag = vecm_mod.select_lag(q_window)
-    rank = vecm_mod.johansen_trace(q_window, lag)
-    fit = vecm_mod.fit_vecm(q_window, lag, rank)
+    # a lag that left the variance fits under their minimum would fail the window
+    lag = vecm_mod.select_lag(
+        q_window, max_lag=min(vecm_mod.MAX_LAG, q_window.shape[0] - dcc_mod.GARCH_MIN_OBS))
+    fit = vecm_mod.fit_vecm(q_window, lag)
     garch = dcc_mod.fit_garch_stage(fit.residuals)
     dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch)
     adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch)
@@ -342,9 +344,9 @@ def write_windows_csv(path, fset: ForecastSet) -> None:
             ])
 
 
-def write_posteriors_csv(path, fset: ForecastSet, pipeline: str, kind: str = "best") -> None:
-    """Posterior covariance matrices in long form for the backtest stage."""
-    posteriors = fset.posteriors(pipeline, kind)
+def write_posteriors_csv(path, fset: ForecastSet, pipeline: str) -> None:
+    """The "best" posterior covariance matrices in long form for the backtest stage."""
+    posteriors = fset.posteriors(pipeline)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date", "row", "col", "value"])

@@ -38,16 +38,11 @@ class MissingForecastError(ValueError):
 
 @dataclass(frozen=True)
 class MvProblem:
-    """One day's mean-variance inputs; cap defaults to 3/N."""
+    """One day's mean-variance inputs; each risky weight is capped at 3/N."""
 
     mu: np.ndarray
     sigma: np.ndarray
     lam: float
-    cap: float | None = None
-    rf_return: float = 0.0
-
-    def weight_cap(self) -> float:
-        return 3.0 / self.mu.shape[0] if self.cap is None else self.cap
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def solve_mv(problem: MvProblem) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(sigma))))
     if min_eigenvalue(sigma) < -1e-10 * scale:
         raise ValueError("sigma is not PSD; floor its eigenvalues first")
-    cap = problem.weight_cap()
+    cap = 3.0 / n
 
     m = n + 1                               # risky weights + cash
     hess = np.zeros((m, m))

@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import t as student_t
 
-DET_CAP = 10.0
+from .liquidity import DET_CAP
+
 STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
 
 
@@ -63,7 +64,7 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-def descriptive_table(values, cap: float = DET_CAP) -> DescriptiveRow:
+def descriptive_table(values) -> DescriptiveRow:
     """Summary statistics and threshold counts of a capped scalar series."""
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
@@ -75,7 +76,7 @@ def descriptive_table(values, cap: float = DET_CAP) -> DescriptiveRow:
         min=float(v.min()),
         median=float(np.median(v)),
         max=float(v.max()),
-        n_at_cap=int(np.count_nonzero(v >= cap)),
+        n_at_cap=int(np.count_nonzero(v >= DET_CAP)),
         n_ge_1=int(np.count_nonzero(v >= 1.0)),
         n_le_0_10=int(np.count_nonzero(v <= 0.10)),
     )
@@ -183,13 +184,13 @@ def coefficient_tests(
     return rows
 
 
-def histogram(values, bin_count: int = 50, value_range: tuple[float, float] = (0.0, DET_CAP)):
+def histogram(values, bin_count: int = 50):
     """Uniform-bin counts over the capped range; the last bin is right-closed
     so values at exactly the cap land in it."""
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     v = np.asarray(values, dtype=np.float64).ravel()
-    counts, edges = np.histogram(v, bins=bin_count, range=value_range)
+    counts, edges = np.histogram(v, bins=bin_count, range=(0.0, DET_CAP))
     return counts, edges
 
 

@@ -7,11 +7,12 @@ The error-correction form
 is estimated per rolling window: the cointegration rank comes from the trace
 test (reduced-rank regression eigenvalues against tabulated 5% critical
 values for the no-deterministic-trend specification), the lag order from AIC
-over a level-VAR fit with an upper bound of 5, and the coefficients from
-reduced-rank regression (0 < rank < N), plain OLS on the ECM form (rank = N),
-or a pure VAR in differences (rank = 0).  Every fit also carries the
-equivalent level-VAR matrices, which satisfy Pi = -(I - sum Phi_i) by
-construction and drive the one-step-ahead return forecast.
+over a level-VAR fit with an upper bound of 5, and the coefficients from one
+least-squares regression of the differences on the long-run regressors (none
+at rank 0, the lagged levels at rank N, their reduced-rank combinations in
+between) and the lagged differences.  Every fit also carries the equivalent
+level-VAR matrices, which satisfy Pi = -(I - sum Phi_i) by construction and
+drive the one-step-ahead return forecast.
 """
 
 from __future__ import annotations
@@ -146,6 +147,23 @@ def _rrr_eigen(y: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvals, eigvecs
 
 
+def _trace_test(y: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Trace-test rank and the eigenvectors it was computed from."""
+    n, dim = y.shape
+    if n < 10 * dim:
+        raise InsufficientDataError(f"need at least {10 * dim} rows for {dim} assets, got {n}")
+    if dim > TRACE_CRIT_95.shape[0]:
+        raise ValueError(f"critical values tabulated only up to dimension {TRACE_CRIT_95.shape[0]}")
+    eigvals, eigvecs = _rrr_eigen(y, p)
+    n_eff = n - p
+    log_terms = np.log(1.0 - eigvals)
+    for rank in range(dim):
+        trace_stat = -n_eff * float(np.sum(log_terms[rank:]))
+        if trace_stat <= TRACE_CRIT_95[dim - rank - 1]:
+            return rank, eigvecs
+    return dim, eigvecs
+
+
 def johansen_trace(window, p: int) -> int:
     """Cointegration rank at the 5% level by the sequential trace test.
 
@@ -153,20 +171,7 @@ def johansen_trace(window, p: int) -> int:
     smaller-rank nulls were all rejected is returned (N for a fully
     stationary system, 0 when no null is rejected).
     """
-    y = _as_window(window)
-    n, dim = y.shape
-    if n < 10 * dim:
-        raise InsufficientDataError(f"need at least {10 * dim} rows for {dim} assets, got {n}")
-    if dim > TRACE_CRIT_95.shape[0]:
-        raise ValueError(f"critical values tabulated only up to dimension {TRACE_CRIT_95.shape[0]}")
-    eigvals, _ = _rrr_eigen(y, p)
-    n_eff = n - p
-    log_terms = np.log(1.0 - eigvals)
-    for rank in range(dim):
-        trace_stat = -n_eff * float(np.sum(log_terms[rank:]))
-        if trace_stat <= TRACE_CRIT_95[dim - rank - 1]:
-            return rank
-    return dim
+    return _trace_test(_as_window(window), p)[0]
 
 
 def _var_design(y: np.ndarray, p: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +229,9 @@ def _levels_from_ecm(gamma: np.ndarray, phi_star: np.ndarray) -> np.ndarray:
 def fit_vecm(window, p: int | None = None, coint_rank: int | None = None) -> VecmFit:
     """Estimate the ECM for the window at the given lag and rank.
 
-    Lag and rank default to select_lag / johansen_trace on the same window.
-    Residuals are returned for the correlation-model stage downstream.
+    Lag and rank default to select_lag / johansen_trace on the same window;
+    a tested rank reuses the test's eigenvectors.  Residuals are returned
+    for the correlation-model stage downstream.
     """
     y = _as_window(window)
     n, dim = y.shape
@@ -233,45 +239,33 @@ def fit_vecm(window, p: int | None = None, coint_rank: int | None = None) -> Vec
         p = select_lag(y)
     if not 1 <= p <= MAX_LAG:
         raise ValueError(f"lag must be in [1, {MAX_LAG}], got {p}")
+    eigvecs = None
     if coint_rank is None:
-        coint_rank = johansen_trace(y, p)
+        coint_rank, eigvecs = _trace_test(y, p)
     if not 0 <= coint_rank <= dim:
         raise ValueError(f"cointegration rank must be in [0, {dim}], got {coint_rank}")
 
     z0, z1, z2 = _ecm_blocks(y, p)
     n_eff = z0.shape[0]
-    ridge = False
-
-    if coint_rank == 0:
-        gamma = np.zeros((dim, dim))
-        if z2.shape[1] > 0:
-            coef, ridge = _ols_solve(z2, z0)
-            phi_star = np.stack(
-                [coef[i * dim:(i + 1) * dim].T for i in range(p - 1)]
-            ) if p > 1 else np.empty((0, dim, dim))
-            resid = z0 - z2 @ coef
-        else:
-            phi_star = np.empty((0, dim, dim))
-            resid = z0
-    elif coint_rank == dim:
-        x = np.hstack([z1, z2])
+    # long-run regressors: none at rank 0, the lagged levels at full rank,
+    # their cointegrating combinations z1 @ beta in between
+    if coint_rank == dim:
+        beta = None
+    elif coint_rank == 0:
+        beta = np.zeros((dim, 0))
+    else:
+        if eigvecs is None:
+            _, eigvecs = _rrr_eigen(y, p)
+        beta = eigvecs[:, :coint_rank]
+    x = np.hstack([z1 if beta is None else z1 @ beta, z2])
+    if x.shape[1] > 0:
         coef, ridge = _ols_solve(x, z0)
-        gamma = coef[:dim].T
-        phi_star = np.stack(
-            [coef[dim + i * dim: dim + (i + 1) * dim].T for i in range(p - 1)]
-        ) if p > 1 else np.empty((0, dim, dim))
         resid = z0 - x @ coef
     else:
-        _, eigvecs = _rrr_eigen(y, p)
-        beta = eigvecs[:, :coint_rank]
-        x = np.hstack([z1 @ beta, z2])
-        coef, ridge = _ols_solve(x, z0)
-        alpha = coef[:coint_rank].T
-        gamma = alpha @ beta.T
-        phi_star = np.stack(
-            [coef[coint_rank + i * dim: coint_rank + (i + 1) * dim].T for i in range(p - 1)]
-        ) if p > 1 else np.empty((0, dim, dim))
-        resid = z0 - x @ coef
+        coef, ridge, resid = np.empty((0, dim)), False, z0
+    alpha = coef[:coint_rank].T
+    gamma = alpha if beta is None else alpha @ beta.T
+    phi_star = coef[coint_rank:].reshape(p - 1, dim, dim).transpose(0, 2, 1)
 
     phi = _levels_from_ecm(gamma, phi_star)
     sigma = resid.T @ resid / n_eff

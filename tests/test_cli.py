@@ -93,6 +93,23 @@ class TestCommands:
         assert result.exit_code != 0
         assert "/nope/missing.csv" in result.output
 
+    def test_unsorted_tick_session_names_the_line(self, tmp_path):
+        data = tmp_path / "ticks.csv"
+        data.write_text("timestamp,symbol,price,size\n"
+                        "2021-03-01T00:01:00Z,AAA,10.0,1.0\n"
+                        "2021-03-01T00:02:00Z,BBB,20.0,1.0\n"
+                        "2021-03-01T00:00:30Z,AAA,10.5,1.0\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "data_csv": str(data), "out_dir": str(tmp_path / "out"),
+            "data_kind": "tick", "minutes_per_day": 16,
+        }))
+        result = CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+        assert result.exit_code == 1
+        assert f"{data}: line 4: tick at" in result.output
+        assert "Traceback" not in result.output
+        assert not isinstance(result.exception, ValueError)
+
     def test_threads_flag_removed(self, data_csv, tmp_path):
         result = CliRunner().invoke(main, [
             "forecast", "--data", data_csv, "--out", str(tmp_path / "o"), "--threads", "2",

@@ -12,7 +12,7 @@ from liqcov.liquidity import (
     LiquidityBetas,
     asset_day,
     build_snapshot,
-    capped_determinant,
+    capped_determinant_value,
     composite_matrix,
     diffusion_matrix,
     intraday_covariance,
@@ -226,10 +226,10 @@ class TestMatrices:
         assert np.linalg.det(comp) == pytest.approx(expected, rel=1e-10)
 
     def test_capped_determinant(self):
-        big = np.diag([37.0, 1.0])
-        assert capped_determinant(big) == 10.0
-        assert capped_determinant(np.diag([0.7, 1.0])) == pytest.approx(0.7)
-        assert capped_determinant(np.eye(8)) == 1.0
+        assert capped_determinant_value(np.linalg.det(np.diag([37.0, 1.0]))) == 10.0
+        assert capped_determinant_value(np.linalg.det(np.diag([0.7, 1.0]))) == pytest.approx(0.7)
+        assert capped_determinant_value(np.linalg.det(np.eye(8))) == 1.0
+        assert capped_determinant_value(-0.5) == 0.5
 
 
 class TestSnapshot:

@@ -16,7 +16,6 @@ from liqcov.marketdata import (
     IngestResult,
     MinuteGrid,
     RejectedDay,
-    aggregate_ticks,
     daily_compound_return,
     group_by_day,
     ingest_minute_csv,
@@ -279,27 +278,37 @@ class TestReadGridsCsv:
             read_grids_csv(path)
 
 
+def tick_grids(tmp_path, ticks, spec):
+    """ingest_tick_csv over (timestamp, symbol, price, size) ticks written as CSV."""
+    path = tmp_path / "ticks.csv"
+    lines = ["timestamp,symbol,price,size"]
+    lines += [f"{ts.isoformat()},{sym},{price!r},{size!r}" for ts, sym, price, size in ticks]
+    path.write_text("\n".join(lines) + "\n")
+    return ingest_tick_csv(path, spec).grids
+
+
 class TestAggregateTicks:
-    def test_one_tick_per_minute(self):
+    def test_one_tick_per_minute(self, tmp_path):
         spec = CalendarSpec.crypto(4)
         ticks = [
-            (dt.datetime(2021, 3, 1, 0, m, 30, tzinfo=UTC), 10.0 + m, 2.0)
+            (dt.datetime(2021, 3, 1, 0, m, 30, tzinfo=UTC), "AAA", 10.0 + m, 2.0)
             for m in range(4)
         ]
-        grid = aggregate_ticks(ticks, spec, symbol="AAA")
+        [grid] = tick_grids(tmp_path, ticks, spec)
+        assert grid.symbol == "AAA"
         np.testing.assert_allclose(grid.dollar_volume, [(10.0 + m) * 2.0 for m in range(4)])
 
-    def test_empty_minute_gap_fill(self):
+    def test_empty_minute_gap_fill(self, tmp_path):
         spec = CalendarSpec.crypto(3)
         ticks = [
-            (dt.datetime(2021, 3, 1, 0, 0, tzinfo=UTC), 10.0, 1.0),
-            (dt.datetime(2021, 3, 1, 0, 2, tzinfo=UTC), 11.0, 1.0),
+            (dt.datetime(2021, 3, 1, 0, 0, tzinfo=UTC), "AAA", 10.0, 1.0),
+            (dt.datetime(2021, 3, 1, 0, 2, tzinfo=UTC), "AAA", 11.0, 1.0),
         ]
-        grid = aggregate_ticks(ticks, spec)
+        [grid] = tick_grids(tmp_path, ticks, spec)
         assert grid.returns[1] == 0.0 and grid.dollar_volume[1] == 0.0
         assert grid.returns[2] == pytest.approx(0.1)
 
-    def test_random_ticks_match_group_by_oracle(self):
+    def test_random_ticks_match_group_by_oracle(self, tmp_path):
         rng = np.random.default_rng(77)
         spec = CalendarSpec.crypto(60)
         base = dt.datetime(2021, 3, 1, tzinfo=UTC)
@@ -307,20 +316,21 @@ class TestAggregateTicks:
         prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 1e-4, 1000)))
         sizes = rng.uniform(0.1, 5.0, 1000)
         ticks = [
-            (base + dt.timedelta(seconds=float(s)), float(p), float(q))
+            (base + dt.timedelta(seconds=float(s)), "AAA", float(p), float(q))
             for s, p, q in zip(offsets, prices, sizes)
         ]
-        grid = aggregate_ticks(ticks, spec)
+        [grid] = tick_grids(tmp_path, ticks, spec)
 
         by_minute = {}
-        for s, p, q in zip(offsets, prices, sizes):
-            by_minute.setdefault(int(s // 60), []).append((p, q))
+        for ts, _, p, q in ticks:
+            by_minute.setdefault(ts.minute, []).append((p, q))
         volume = np.zeros(60)
         last = np.full(60, np.nan)
         for m, entries in by_minute.items():
-            volume[m] = sum(p * q for p, q in entries)
+            for p, q in entries:
+                volume[m] += p * q
             last[m] = entries[-1][0]
-        np.testing.assert_allclose(grid.dollar_volume, volume, rtol=1e-12)
+        np.testing.assert_array_equal(grid.dollar_volume, volume)
         ref = None
         expected = np.zeros(60)
         for m in range(60):
@@ -328,17 +338,17 @@ class TestAggregateTicks:
                 if ref is not None:
                     expected[m] = last[m] / ref - 1.0
                 ref = last[m]
-        np.testing.assert_allclose(grid.returns, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(grid.returns, expected)
         assert grid.dollar_volume.sum() == pytest.approx(float(np.sum(prices * sizes)))
 
-    def test_unsorted_ticks_rejected(self):
+    def test_unsorted_ticks_rejected(self, tmp_path):
         spec = CalendarSpec.crypto(4)
         ticks = [
-            (dt.datetime(2021, 3, 1, 0, 1, tzinfo=UTC), 10.0, 1.0),
-            (dt.datetime(2021, 3, 1, 0, 0, tzinfo=UTC), 10.0, 1.0),
+            (dt.datetime(2021, 3, 1, 0, 1, tzinfo=UTC), "AAA", 10.0, 1.0),
+            (dt.datetime(2021, 3, 1, 0, 0, tzinfo=UTC), "AAA", 10.0, 1.0),
         ]
-        with pytest.raises(ValueError, match="sorted"):
-            aggregate_ticks(ticks, spec)
+        with pytest.raises(CsvParseError, match="line 3: tick at .* is earlier"):
+            tick_grids(tmp_path, ticks, spec)
 
 
 class TestIngestTickCsv:

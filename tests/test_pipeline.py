@@ -143,6 +143,14 @@ def test_hard_limits_rejected_before_any_fit(monkeypatch, n_assets, window_days,
     assert calls == []
 
 
+def test_lag_leaves_the_variance_fits_enough_residuals(series):
+    # at 51 days AIC may not pick a lag above 1: lag 2 would leave 49 residuals
+    fset = run_forecasts(series, window_days=51, stride=20)
+    assert not fset.failures
+    assert len(fset.windows) == 2 * 4
+    assert all(51 - w.lag >= dcc.GARCH_MIN_OBS for w in fset.windows)
+
+
 def test_garch_stage_fitted_once_per_window(series, monkeypatch):
     calls = []
     fit_garch11 = dcc.fit_garch11

@@ -123,6 +123,29 @@ class TestFitVecm:
                 identity = -(np.eye(3) - fit.phi.sum(axis=0))
                 assert np.max(np.abs(fit.gamma - identity)) < 1e-8
 
+    def test_tested_rank_matches_given_rank(self):
+        # the default rank reuses the trace test's eigenvectors
+        rng = np.random.default_rng(10)
+        windows = [random_walks(rng, 300, 3), rng.normal(size=(300, 3)),
+                   np.column_stack([cointegrated_pair(rng, 300), random_walks(rng, 300, 1)])]
+        ranks = set()
+        for y in windows:
+            for p in (1, 2):
+                rank = johansen_trace(y, p)
+                ranks.add(rank)
+                tested, given = fit_vecm(y, p), fit_vecm(y, p, rank)
+                assert tested.coint_rank == rank
+                for name in ("gamma", "phi_star", "phi", "residuals"):
+                    np.testing.assert_array_equal(getattr(tested, name), getattr(given, name))
+                assert (tested.aic, tested.loglik) == (given.aic, given.loglik)
+        assert ranks == {0, 1, 3}       # none, reduced and full rank
+
+    def test_rank_zero_lag_one_residuals_are_the_differences(self):
+        y = random_walks(np.random.default_rng(11), 100, 2)
+        fit = fit_vecm(y, p=1, coint_rank=0)
+        np.testing.assert_array_equal(fit.residuals, np.diff(y, axis=0))
+        assert not fit.gamma.any() and fit.phi_star.shape == (0, 2, 2)
+
     def test_residual_count(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(200, 2))

@@ -1,10 +1,12 @@
 """Command-line pipeline: ingest -> liquidity -> forecast -> backtest -> report.
 
 Runs are driven by a JSON config file; flags override config keys.  Every
-stage persists plain CSV intermediates under the output directory together
-with a manifest keyed by the hash of the run configuration, so stages can be
+stage persists CSV intermediates under the output directory together with a
+manifest keyed by the hash of the run configuration, so stages can be
 skipped or resumed and identical (config, seed) pairs reproduce identical
-output trees.
+output trees.  The liquidity stage also writes the daily series as one exact
+binary file, ``series.npz``, which every later stage loads instead of
+rebuilding it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .marketdata import (
     CsvParseError,
     ingest_minute_csv,
     ingest_tick_csv,
-    read_grids_csv,
     write_grids_csv,
 )
 from .synthetic import write_synthetic_csv
@@ -122,19 +123,44 @@ def _manifest_path(out_dir: str) -> str:
 
 
 def load_manifest(out_dir: str, cfg_hash: str) -> dict:
+    """The manifest of cfg_hash's run in out_dir, empty if there is none.
+
+    A manifest of another config is replaced on disk by the empty one at
+    once, before this config overwrites any of the files it lists, so an
+    interrupted run can never leave that config's stages marked complete
+    over this config's files.
+    """
     path = _manifest_path(out_dir)
-    if os.path.exists(path):
-        with open(path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("config_hash") == cfg_hash:
-            return manifest
-    return {"config_hash": cfg_hash, "stages": {}}
+    empty = {"config_hash": cfg_hash, "stages": {}}
+    if not os.path.exists(path):
+        return empty
+    with open(path) as fh:
+        manifest = json.load(fh)
+    if manifest.get("config_hash") == cfg_hash:
+        return manifest
+    save_manifest(out_dir, empty)
+    return empty
+
+
+def _write_replacing(path: str, write) -> None:
+    """Call write on a temporary file next to path, then move it onto path,
+    so that path is never seen half-written."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def save_manifest(out_dir: str, manifest: dict) -> None:
-    with open(_manifest_path(out_dir), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def write(path):
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    _write_replacing(_manifest_path(out_dir), write)
 
 
 def stage_complete(manifest: dict, out_dir: str, stage: str) -> bool:
@@ -153,18 +179,9 @@ def mark_stage(manifest: dict, out_dir: str, stage: str, files: list[str]) -> No
 # stages
 # ---------------------------------------------------------------------------
 
-def _ensure_grids(cfg: RunConfig, manifest: dict):
-    """Load the grid dump of this config's completed liquidity stage, or
-    build the grids from the raw CSV and write the dump.
-
-    manifest must be the one load_manifest returned for cfg, so a grids.csv
-    left by another config (another data file, calendar or data kind) is
-    rebuilt, not reused.
-    """
-    grids_path = os.path.join(cfg.out_dir, "grids.csv")
-    if ("grids.csv" in manifest["stages"].get("liquidity", ())
-            and stage_complete(manifest, cfg.out_dir, "liquidity")):
-        return read_grids_csv(grids_path)
+def _ensure_grids(cfg: RunConfig):
+    """Build the grids from the raw CSV and write the grids.csv dump, plus
+    rejected_days.csv when a day was rejected."""
     if not os.path.exists(cfg.data_csv):
         raise click.ClickException(f"data file not found: {cfg.data_csv}")
     ingest = ingest_tick_csv if cfg.data_kind == "tick" else ingest_minute_csv
@@ -174,7 +191,7 @@ def _ensure_grids(cfg: RunConfig, manifest: dict):
         raise click.ClickException(f"{cfg.data_csv}: {exc}") from exc
     if not result.grids:
         raise click.ClickException(f"{cfg.data_csv}: no complete asset-days found")
-    write_grids_csv(grids_path, result.grids)
+    write_grids_csv(os.path.join(cfg.out_dir, "grids.csv"), result.grids)
     if result.rejected:
         rej_path = os.path.join(cfg.out_dir, "rejected_days.csv")
         stats.write_csv_table(
@@ -184,27 +201,38 @@ def _ensure_grids(cfg: RunConfig, manifest: dict):
              for r in result.rejected],
         )
         logger.warning("%d asset-days rejected; see %s", len(result.rejected), rej_path)
-    # the dump's repr floats read back exactly, so the in-memory grids are
-    # what a resumed stage gets from grids.csv
     return result.grids
 
 
+def _series_path(cfg: RunConfig) -> str:
+    return os.path.join(cfg.out_dir, "series.npz")
+
+
+def _liquidity_complete(cfg: RunConfig, manifest: dict) -> bool:
+    # a stage written before series.npz existed is rebuilt
+    return ("series.npz" in manifest["stages"].get("liquidity", ())
+            and stage_complete(manifest, cfg.out_dir, "liquidity"))
+
+
 def _build_series(cfg: RunConfig, manifest: dict) -> pipeline.PortfolioSeries:
-    grids = _ensure_grids(cfg, manifest)
-    snapshots = pipeline.snapshots_from_grids(grids)
+    """The series of cfg's completed liquidity stage, else one built from
+    the raw CSV.  manifest must be the one load_manifest returned for cfg."""
+    if _liquidity_complete(cfg, manifest):
+        return pipeline.read_series_npz(_series_path(cfg))
+    snapshots = pipeline.snapshots_from_grids(_ensure_grids(cfg))
     return pipeline.assemble_series(snapshots)
 
 
 def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = load_manifest(cfg.out_dir, cfg.config_hash())
-    grids = _ensure_grids(cfg, manifest)
-    snapshots = pipeline.snapshots_from_grids(grids)
+    if _liquidity_complete(cfg, manifest):
+        return pipeline.read_series_npz(_series_path(cfg))
+    snapshots = pipeline.snapshots_from_grids(_ensure_grids(cfg))
     series = pipeline.assemble_series(snapshots)
-    if stage_complete(manifest, cfg.out_dir, "liquidity"):
-        return series
 
-    files = ["grids.csv", "snapshots.csv", "asset_days.csv", "table1.csv", "table1.md"]
+    files = ["grids.csv", "snapshots.csv", "asset_days.csv", "table1.csv", "table1.md",
+             "series.npz"]
     write_snapshots_csv(os.path.join(cfg.out_dir, "snapshots.csv"), snapshots)
 
     day_rows = []
@@ -249,6 +277,7 @@ def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
         for snap in snapshots:
             write_snapshot_matrices(mat_dir, snap)
 
+    _write_replacing(_series_path(cfg), lambda path: pipeline.write_series_npz(path, series))
     mark_stage(manifest, cfg.out_dir, "liquidity", files)
     return series
 

@@ -17,7 +17,6 @@ import datetime as dt
 import io
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -198,7 +197,8 @@ _UNSEEN = object()
 def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
     """Check the rows of a ``timestamp,symbol,<price>,<amount>`` CSV and
     buffer the minute, price and volume of each in-session row per (symbol,
-    session day), in file order.
+    session day), in file order, together with the line of the day's first
+    row.
 
     The volume is the amount column, or ``price * amount`` for ticks, which
     must be time-sorted within each (symbol, session).
@@ -207,7 +207,7 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
     # raw timestamp of a minute bar is parsed and located once; a tick keeps
     # its own timestamp for the order check.
     located: dict[str, tuple[dt.date, int] | None] = {}
-    groups = defaultdict(lambda: (array("q"), array("d"), array("d")))
+    groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
     latest: dict[tuple[str, dt.date], dt.datetime] = {}     # last tick per session
     price_name, amount_name = columns[2], columns[3]
     with open(path, "r", newline="") as fh:
@@ -249,16 +249,21 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
                                                  f"the previous tick of {symbol} on {day}")
                 latest[key] = ts
                 amount *= price
-            buffers = groups[key]
-            buffers[0].append(minute)
-            buffers[1].append(price)
-            buffers[2].append(amount)
+            buffers = groups.get(key)
+            if buffers is None:
+                buffers = groups[key] = (line_no, array("q"), array("d"), array("d"))
+            buffers[1].append(minute)
+            buffers[2].append(price)
+            buffers[3].append(amount)
     return groups
 
 
+@np.errstate(over="ignore")     # an overflow raises CsvParseError below
 def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestResult:
     """Turn the (minute, price, volume) rows buffered per (symbol, day), in
     file order, into one grid per (symbol, day) ordered by symbol then date.
+    A return or volume that overflows raises CsvParseError at the line of the
+    day's first row.
 
     Each minute takes the price of its last row, and as volume either its
     last row's (``sum_volume`` false) or the sum over its rows.  A day
@@ -270,7 +275,7 @@ def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestRe
     prior_symbol: str | None = None
     prior_close: float | None = None
     for symbol, day in sorted(groups):
-        minute_buf, price_buf, volume_buf = groups.pop((symbol, day))
+        line_no, minute_buf, price_buf, volume_buf = groups.pop((symbol, day))
         minutes = np.frombuffer(minute_buf, dtype=np.int64)
         if symbol != prior_symbol:
             prior_symbol, prior_close = symbol, None
@@ -290,6 +295,8 @@ def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestRe
             previous[1:] = closes[:-1]
             returns = np.zeros(t)
             returns[present] = closes / previous - 1.0
+            if not np.isfinite(returns).all():
+                raise CsvParseError(line_no, f"{symbol} {day}: minute return overflows")
             volumes = np.frombuffer(volume_buf)
             if sum_volume:
                 # bincount adds in file order, as a running sum would
@@ -297,6 +304,8 @@ def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestRe
             else:
                 dollar_volume = np.zeros(t)
                 dollar_volume[present] = volumes[last]
+            if not np.isfinite(dollar_volume).all():
+                raise CsvParseError(line_no, f"{symbol} {day}: dollar volume overflows")
             result.grids.append(MinuteGrid(symbol, day, returns, dollar_volume))
         prior_close = float(closes[-1])
     return result

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import datetime as dt
 import logging
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,6 +75,37 @@ def assemble_series(snapshots: Sequence[LiquiditySnapshot]) -> PortfolioSeries:
         diff=np.array([s.diff_mat for s in snaps]),
         comp=np.array([s.comp_mat for s in snaps]),
     )
+
+
+_SERIES_ARRAYS = ("q", "q_adj", "sigma_tt", "sigma_tt_adj", "jump", "diff", "comp")
+
+
+def write_series_npz(path, series: PortfolioSeries) -> None:
+    """Write series as an ``.npz`` that read_series_npz reads back bitwise.
+
+    Dates are stored as proleptic ordinals and symbols as a ``str`` array.
+    Every member carries an explicit fixed timestamp, not whatever zipfile
+    would stamp, so the file's bytes depend only on the series.
+    """
+    members = {
+        "dates": np.array([d.toordinal() for d in series.dates], dtype=np.int64),
+        "symbols": np.array(series.symbols, dtype=str),
+        **{name: getattr(series, name) for name in _SERIES_ARRAYS},
+    }
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, values in members.items():
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, values, allow_pickle=False)
+
+
+def read_series_npz(path) -> PortfolioSeries:
+    with np.load(path, allow_pickle=False) as npz:
+        return PortfolioSeries(
+            dates=tuple(dt.date.fromordinal(d) for d in npz["dates"].tolist()),
+            symbols=tuple(npz["symbols"].tolist()),
+            **{name: npz[name] for name in _SERIES_ARRAYS},
+        )
 
 
 def snapshots_from_grids(grids: Sequence[MinuteGrid]) -> list[LiquiditySnapshot]:

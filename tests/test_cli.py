@@ -3,12 +3,13 @@
 import filecmp
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from liqcov import cli
+from liqcov import cli, marketdata, pipeline
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
 from liqcov.synthetic import write_synthetic_csv
 
@@ -93,20 +94,50 @@ class TestCommands:
         assert result.exit_code != 0
         assert "/nope/missing.csv" in result.output
 
-    def test_unsorted_tick_session_names_the_line(self, tmp_path):
-        data = tmp_path / "ticks.csv"
-        data.write_text("timestamp,symbol,price,size\n"
-                        "2021-03-01T00:01:00Z,AAA,10.0,1.0\n"
-                        "2021-03-01T00:02:00Z,BBB,20.0,1.0\n"
-                        "2021-03-01T00:00:30Z,AAA,10.5,1.0\n")
+    @staticmethod
+    def run_liquidity_command(tmp_path, name, text, **cfg):
+        data = tmp_path / name
+        data.write_text(text)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "data_csv": str(data), "out_dir": str(tmp_path / "out"),
-            "data_kind": "tick", "minutes_per_day": 16,
-        }))
-        result = CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+        cfg_path.write_text(json.dumps(
+            dict(data_csv=str(data), out_dir=str(tmp_path / "out"), **cfg)))
+        return data, CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+
+    def test_unsorted_tick_session_names_the_line(self, tmp_path):
+        data, result = self.run_liquidity_command(
+            tmp_path, "ticks.csv",
+            "timestamp,symbol,price,size\n"
+            "2021-03-01T00:01:00Z,AAA,10.0,1.0\n"
+            "2021-03-01T00:02:00Z,BBB,20.0,1.0\n"
+            "2021-03-01T00:00:30Z,AAA,10.5,1.0\n",
+            data_kind="tick", minutes_per_day=16)
         assert result.exit_code == 1
         assert f"{data}: line 4: tick at" in result.output
+        assert "Traceback" not in result.output
+        assert not isinstance(result.exception, ValueError)
+
+    def test_overflowing_minute_return_names_the_line(self, tmp_path):
+        data, result = self.run_liquidity_command(
+            tmp_path, "bars.csv",
+            "timestamp,symbol,close,dollar_volume\n"
+            "2021-03-01T00:00:00Z,AAA,1e-300,1.0\n"
+            "2021-03-01T00:01:00Z,AAA,1e300,1.0\n",
+            minutes_per_day=2)
+        assert result.exit_code == 1
+        assert f"{data}: line 2: AAA 2021-03-01: minute return overflows" in result.output
+        assert "Traceback" not in result.output
+        assert not isinstance(result.exception, ValueError)
+
+    def test_overflowing_tick_volume_names_the_line(self, tmp_path):
+        data, result = self.run_liquidity_command(
+            tmp_path, "ticks.csv",
+            "timestamp,symbol,price,size\n"
+            "2021-03-01T00:00:00Z,BBB,20.0,1.0\n"
+            "2021-03-01T00:00:10Z,AAA,1e308,1.0\n"
+            "2021-03-01T00:00:20Z,AAA,1e308,1.0\n",
+            data_kind="tick", minutes_per_day=2)
+        assert result.exit_code == 1
+        assert f"{data}: line 3: AAA 2021-03-01: dollar volume overflows" in result.output
         assert "Traceback" not in result.output
         assert not isinstance(result.exception, ValueError)
 
@@ -202,20 +233,99 @@ class TestGridCache:
         data = self.dataset(tmp_path, "a.csv", 1)
         cfg = make_config(data, tmp_path / "out", window_days=20)
         reads = []
-        read = cli.read_grids_csv
+        read = marketdata.read_grids_csv
 
         def counting(path):
             reads.append(path)
             return read(path)
 
-        monkeypatch.setattr(cli, "read_grids_csv", counting)
+        monkeypatch.setattr(marketdata, "read_grids_csv", counting)
+        monkeypatch.setattr(cli, "read_grids_csv", counting, raising=False)
         fresh = run_liquidity(cfg)
-        assert reads == []
         resumed = run_liquidity(cfg)
-        assert reads == [str(tmp_path / "out" / "grids.csv")]
+        assert reads == []
         assert (fresh.dates, fresh.symbols) == (resumed.dates, resumed.symbols)
         for name in ("q", "q_adj", "sigma_tt", "sigma_tt_adj", "jump", "diff", "comp"):
+            assert getattr(fresh, name).dtype == getattr(resumed, name).dtype, name
             assert np.array_equal(getattr(fresh, name), getattr(resumed, name)), name
+
+    def test_resumed_stages_rebuild_no_series(self, data_csv, tmp_path, monkeypatch):
+        cfg = make_config(data_csv, tmp_path / "out", window_days=90, refit_stride=10)
+        run_liquidity(cfg)
+        run_backtest_stage(cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a resumed stage rebuilt the series")
+
+        monkeypatch.setattr(cli, "ingest_minute_csv", forbidden)
+        monkeypatch.setattr(marketdata, "ingest_minute_csv", forbidden)
+        monkeypatch.setattr(marketdata, "read_grids_csv", forbidden)
+        monkeypatch.setattr(pipeline, "snapshots_from_grids", forbidden)
+        assert run_liquidity(cfg).n_days == 110
+        assert cli.run_forecast(cfg) is None
+        assert len(run_backtest_stage(cfg)) == 6
+
+    def test_series_file_bytes_ignore_the_clock(self, tmp_path, monkeypatch):
+        data = self.dataset(tmp_path, "a.csv", 1)
+        series = run_liquidity(make_config(data, tmp_path / "out", window_days=20))
+        written = []
+        for k, now in enumerate((1.0e9, 2.0e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            path = tmp_path / f"series_{k}.npz"
+            pipeline.write_series_npz(path, series)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        with np.load(tmp_path / "series_0.npz", allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(
+                ["dates", "symbols", "q", "q_adj", "sigma_tt", "sigma_tt_adj",
+                 "jump", "diff", "comp"])
+
+    def test_manifest_without_series_file_rebuilds_once(self, tmp_path, monkeypatch):
+        data = self.dataset(tmp_path, "a.csv", 1)
+        out = tmp_path / "out"
+        cfg = make_config(data, out, window_days=20)
+        run_liquidity(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["liquidity"].remove("series.npz")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "series.npz").unlink()
+
+        calls = []
+        ingest = cli.ingest_minute_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+        run_liquidity(cfg)
+        assert calls == [data]
+        run_liquidity(cfg)
+        assert calls == [data]
+        assert "series.npz" in json.loads((out / "manifest.json").read_text())["stages"]["liquidity"]
+
+    def test_interrupted_other_dataset_invalidates_the_stage(self, tmp_path, monkeypatch):
+        data_a = self.dataset(tmp_path, "a.csv", 1)
+        data_b = self.dataset(tmp_path, "b.csv", 2)
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        cfg_a = make_config(data_a, shared, window_days=20)
+        run_liquidity(cfg_a)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_snapshots_csv", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_liquidity(make_config(data_b, shared, window_days=20))
+
+        resumed = run_liquidity(cfg_a)
+        expected = run_liquidity(make_config(data_a, fresh, window_days=20))
+        for name in ("q", "q_adj", "sigma_tt", "sigma_tt_adj", "jump", "diff", "comp"):
+            assert np.array_equal(getattr(resumed, name), getattr(expected, name)), name
+        names = sorted(os.listdir(fresh))
+        assert names == sorted(os.listdir(shared))
+        assert [n for n in names if not filecmp.cmp(shared / n, fresh / n, shallow=False)] == []
 
     def test_fresh_backtest_ingests_once(self, data_csv, tmp_path, monkeypatch):
         calls = []

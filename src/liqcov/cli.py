@@ -1,18 +1,20 @@
 """Command-line pipeline: ingest -> liquidity -> forecast -> backtest -> report.
 
 Runs are driven by a JSON config file; flags override config keys.  Every
-stage persists CSV intermediates under the output directory together with a
-manifest keyed by the hash of the run configuration, so stages can be
-skipped or resumed and identical (config, seed) pairs reproduce identical
-output trees.  The liquidity stage also writes the daily series as one exact
-binary file, ``series.npz``, which every later stage loads instead of
-rebuilding it.
+stage persists CSV intermediates under the output directory, and the
+manifest records each completed stage's files under a key that digests
+exactly the inputs those files depend on (the data file by its content).
+So a stage is skipped or resumed only while its own inputs are unchanged,
+and identical (config, data content) runs reproduce identical output
+trees.  The liquidity stage also writes the daily series as one exact
+binary file, ``series.npz``, which every later stage loads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import json
 import logging
@@ -24,10 +26,7 @@ import numpy as np
 
 from . import pipeline, portfolio, stats
 from .condsvd import conditional_svd
-from .liquidity import (
-    write_snapshot_matrices,
-    write_snapshots_csv,
-)
+from .liquidity import write_snapshots_csv
 from .marketdata import (
     AssetClass,
     CalendarSpec,
@@ -39,6 +38,35 @@ from .marketdata import (
 from .synthetic import write_synthetic_csv
 
 logger = logging.getLogger(__name__)
+
+
+def _data_sha256(path: str) -> str:
+    """The sha256 of the file's content.
+
+    Memoized per process by os.stat's (path, size, st_mtime_ns, st_ino), so
+    a run that enters several stages hashes the file once.  The limit: a
+    rewrite within one process that leaves all four unchanged is not seen.
+    Every new process hashes the content again.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        raise click.ClickException(f"data file not found: {path}") from None
+    return _content_sha256(path, st.st_size, st.st_mtime_ns, st.st_ino)
+
+
+@functools.lru_cache(maxsize=16)
+def _content_sha256(path: str, *stat_key: int) -> str:
+    # stat_key is not read: it is part of the cache key
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
 @dataclass
@@ -53,10 +81,6 @@ class RunConfig:
     refit_stride: int = 1
     tau: float = 1.0
     variants: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    seed: int = 7
-    periods_per_year: float | None = None
-    histogram_bins: int = 50
-    export_matrices: bool = False
 
     def validate(self) -> None:
         if not 0.01 <= self.tau <= 10.0:
@@ -81,17 +105,16 @@ class RunConfig:
             asset_class=AssetClass(self.asset_class),
         )
 
-    def annualization(self) -> float:
-        if self.periods_per_year is not None:
-            return self.periods_per_year
-        return float(self.calendar().periods_per_year())
-
-    def config_hash(self) -> str:
-        payload = dataclasses.asdict(self)
-        # identity of the run excludes where it is written
-        payload.pop("out_dir")
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()
+    def stage_keys(self) -> dict[str, str]:
+        """Each resumable stage's key: a digest of exactly the inputs its
+        files depend on.  Variants 5 and 6 use the forecast stage's output."""
+        liquidity = _digest(_data_sha256(self.data_csv), self.data_kind,
+                            self.minutes_per_day, self.day_boundary)
+        forecast = _digest(liquidity, self.window_days, self.refit_stride, self.tau)
+        chain = forecast if set(self.variants) & {5, 6} else None
+        return {"liquidity": liquidity, "forecast": forecast,
+                "backtest": _digest(liquidity, chain, self.window_days,
+                                    list(self.variants), self.asset_class)}
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "RunConfig":
@@ -115,31 +138,22 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# manifest: {"stages": {stage: {"key", "files"}}}
 # ---------------------------------------------------------------------------
 
 def _manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.json")
 
 
-def load_manifest(out_dir: str, cfg_hash: str) -> dict:
-    """The manifest of cfg_hash's run in out_dir, empty if there is none.
-
-    A manifest of another config is replaced on disk by the empty one at
-    once, before this config overwrites any of the files it lists, so an
-    interrupted run can never leave that config's stages marked complete
-    over this config's files.
-    """
-    path = _manifest_path(out_dir)
-    empty = {"config_hash": cfg_hash, "stages": {}}
-    if not os.path.exists(path):
-        return empty
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("config_hash") == cfg_hash:
-        return manifest
-    save_manifest(out_dir, empty)
-    return empty
+def _read_entries(out_dir: str) -> dict:
+    """The manifest's stage entries.  A manifest that is missing, unreadable
+    or in the older whole-config-hash format has none."""
+    try:
+        with open(_manifest_path(out_dir)) as fh:
+            stages = json.load(fh).get("stages", {})
+    except (OSError, ValueError):
+        return {}
+    return {stage: entry for stage, entry in stages.items() if isinstance(entry, dict)}
 
 
 def _write_replacing(path: str, write) -> None:
@@ -154,36 +168,59 @@ def _write_replacing(path: str, write) -> None:
             os.remove(tmp)
 
 
-def save_manifest(out_dir: str, manifest: dict) -> None:
+def _write_entries(out_dir: str, entries: dict) -> None:
     def write(path):
         with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump({"stages": entries}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     _write_replacing(_manifest_path(out_dir), write)
 
 
-def stage_complete(manifest: dict, out_dir: str, stage: str) -> bool:
-    files = manifest["stages"].get(stage)
-    if not files:
-        return False
-    return all(os.path.exists(os.path.join(out_dir, f)) for f in files)
+def stage_complete(cfg: RunConfig, stage: str) -> bool:
+    """Whether stage's entry has cfg's key and every file it lists exists."""
+    key = cfg.stage_keys()[stage]      # first: a missing data file is an error
+    entry = _read_entries(cfg.out_dir).get(stage)
+    return (entry is not None and entry["key"] == key
+            and all(os.path.exists(os.path.join(cfg.out_dir, f)) for f in entry["files"]))
 
 
-def mark_stage(manifest: dict, out_dir: str, stage: str, files: list[str]) -> None:
-    manifest["stages"][stage] = sorted(files)
-    save_manifest(out_dir, manifest)
+def begin_stage(cfg: RunConfig, stage: str) -> None:
+    """Drop stage's entry from the manifest on disk, then delete the files
+    it listed.  Runs before the stage writes its first file, so an
+    interrupted stage is never marked complete and no file of an earlier
+    run of the stage is left behind."""
+    entries = _read_entries(cfg.out_dir)
+    entry = entries.pop(stage, {"files": ()})
+    _write_entries(cfg.out_dir, entries)
+    for name in entry["files"]:
+        if os.path.exists(path := os.path.join(cfg.out_dir, name)):
+            os.remove(path)
+
+
+def mark_stage(cfg: RunConfig, stage: str, files: list[str]) -> None:
+    entries = _read_entries(cfg.out_dir)
+    entries[stage] = {"key": cfg.stage_keys()[stage], "files": sorted(files)}
+    _write_entries(cfg.out_dir, entries)
 
 
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
 
-def _ensure_grids(cfg: RunConfig):
-    """Build the grids from the raw CSV and write the grids.csv dump, plus
-    rejected_days.csv when a day was rejected."""
-    if not os.path.exists(cfg.data_csv):
-        raise click.ClickException(f"data file not found: {cfg.data_csv}")
+def _write_table(cfg: RunConfig, name: str, title: str, headers, body) -> list[str]:
+    """Write <name>.csv and <name>.md (under a title heading); returns both names."""
+    stats.write_csv_table(os.path.join(cfg.out_dir, f"{name}.csv"), headers, body)
+    with open(os.path.join(cfg.out_dir, f"{name}.md"), "w") as fh:
+        fh.write(f"# {title}\n\n")
+        fh.write(stats.render_markdown_table(headers, body))
+    return [f"{name}.csv", f"{name}.md"]
+
+
+def _begin_liquidity(cfg: RunConfig, files: list[str]):
+    """Build the grids from the raw CSV, begin the liquidity stage and write
+    the grids.csv dump, plus rejected_days.csv when a day was rejected.
+    Returns the grids and adds the names written to files."""
     ingest = ingest_tick_csv if cfg.data_kind == "tick" else ingest_minute_csv
     try:
         result = ingest(cfg.data_csv, cfg.calendar())
@@ -191,7 +228,9 @@ def _ensure_grids(cfg: RunConfig):
         raise click.ClickException(f"{cfg.data_csv}: {exc}") from exc
     if not result.grids:
         raise click.ClickException(f"{cfg.data_csv}: no complete asset-days found")
+    begin_stage(cfg, "liquidity")
     write_grids_csv(os.path.join(cfg.out_dir, "grids.csv"), result.grids)
+    files.append("grids.csv")
     if result.rejected:
         rej_path = os.path.join(cfg.out_dir, "rejected_days.csv")
         stats.write_csv_table(
@@ -200,50 +239,30 @@ def _ensure_grids(cfg: RunConfig):
             [[r.symbol, r.date.isoformat(), r.missing_minutes, r.total_minutes, r.reason]
              for r in result.rejected],
         )
+        files.append("rejected_days.csv")
         logger.warning("%d asset-days rejected; see %s", len(result.rejected), rej_path)
     return result.grids
 
 
-def _series_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, "series.npz")
-
-
-def _liquidity_complete(cfg: RunConfig, manifest: dict) -> bool:
-    # a stage written before series.npz existed is rebuilt
-    return ("series.npz" in manifest["stages"].get("liquidity", ())
-            and stage_complete(manifest, cfg.out_dir, "liquidity"))
-
-
-def _build_series(cfg: RunConfig, manifest: dict) -> pipeline.PortfolioSeries:
-    """The series of cfg's completed liquidity stage, else one built from
-    the raw CSV.  manifest must be the one load_manifest returned for cfg."""
-    if _liquidity_complete(cfg, manifest):
-        return pipeline.read_series_npz(_series_path(cfg))
-    snapshots = pipeline.snapshots_from_grids(_ensure_grids(cfg))
-    return pipeline.assemble_series(snapshots)
-
-
 def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
+    """The daily series of cfg's data: loaded from series.npz when the
+    liquidity stage is complete, else built from the raw CSV while the
+    stage's files are written."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = load_manifest(cfg.out_dir, cfg.config_hash())
-    if _liquidity_complete(cfg, manifest):
-        return pipeline.read_series_npz(_series_path(cfg))
-    snapshots = pipeline.snapshots_from_grids(_ensure_grids(cfg))
+    series_path = os.path.join(cfg.out_dir, "series.npz")
+    if stage_complete(cfg, "liquidity"):
+        return pipeline.read_series_npz(series_path)
+    files = ["snapshots.csv", "asset_days.csv", "series.npz"]
+    snapshots = pipeline.snapshots_from_grids(_begin_liquidity(cfg, files))
     series = pipeline.assemble_series(snapshots)
-
-    files = ["grids.csv", "snapshots.csv", "asset_days.csv", "table1.csv", "table1.md",
-             "series.npz"]
     write_snapshots_csv(os.path.join(cfg.out_dir, "snapshots.csv"), snapshots)
 
-    day_rows = []
-    for snap in snapshots:
-        for asset in snap.asset_days:
-            day_rows.append([
-                asset.date.isoformat(), asset.symbol,
-                repr(asset.daily_return), repr(asset.daily_liq_return),
-                repr(asset.daily_vol), repr(asset.daily_liq_vol),
-                int(asset.degenerate),
-            ])
+    day_rows = [
+        [asset.date.isoformat(), asset.symbol,
+         repr(asset.daily_return), repr(asset.daily_liq_return),
+         repr(asset.daily_vol), repr(asset.daily_liq_vol), int(asset.degenerate)]
+        for snap in snapshots for asset in snap.asset_days
+    ]
     stats.write_csv_table(
         os.path.join(cfg.out_dir, "asset_days.csv"),
         ["date", "symbol", "ret", "ret_adj", "vol", "vol_adj", "degenerate"],
@@ -256,49 +275,33 @@ def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
         "liquidity composite": np.array([s.det_comp for s in snapshots]),
     }
     desc = {name: stats.descriptive_table(vals) for name, vals in capped.items()}
-    headers, body = stats.descriptive_rows_table(desc)
-    stats.write_csv_table(os.path.join(cfg.out_dir, "table1.csv"), headers, body)
-    with open(os.path.join(cfg.out_dir, "table1.md"), "w") as fh:
-        fh.write("# Portfolio liquidity measures (capped at 10)\n\n")
-        fh.write(stats.render_markdown_table(headers, body))
+    files += _write_table(cfg, "table1", "Portfolio liquidity measures (capped at 10)",
+                          *stats.descriptive_rows_table(desc))
 
     for name, vals in capped.items():
         tag = name.split()[-1]
-        counts, edges = stats.histogram(vals, cfg.histogram_bins)
+        counts, edges = stats.histogram(vals)
         stats.write_histogram_csv(os.path.join(cfg.out_dir, f"hist_{tag}.csv"), counts, edges)
         stats.write_histogram_svg(
             os.path.join(cfg.out_dir, f"hist_{tag}.svg"), counts, edges, title=name
         )
         files += [f"hist_{tag}.csv", f"hist_{tag}.svg"]
 
-    if cfg.export_matrices:
-        mat_dir = os.path.join(cfg.out_dir, "matrices")
-        os.makedirs(mat_dir, exist_ok=True)
-        for snap in snapshots:
-            write_snapshot_matrices(mat_dir, snap)
-
-    _write_replacing(_series_path(cfg), lambda path: pipeline.write_series_npz(path, series))
-    mark_stage(manifest, cfg.out_dir, "liquidity", files)
+    _write_replacing(series_path, lambda path: pipeline.write_series_npz(path, series))
+    mark_stage(cfg, "liquidity", files)
     return series
 
 
-def run_forecast(cfg: RunConfig,
-                 series: pipeline.PortfolioSeries | None = None) -> pipeline.ForecastSet | None:
+def run_forecast(cfg: RunConfig) -> pipeline.ForecastSet | None:
     """Fit the rolling chain and write forecast tables.
 
-    series, when given, is the series the caller already built for cfg; it
-    spares a second ingest when no liquidity stage has completed yet.
     Returns the in-memory forecast set (None when the stage was already
     complete and the caller only needs the persisted files).
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = load_manifest(cfg.out_dir, cfg.config_hash())
-    if stage_complete(manifest, cfg.out_dir, "forecast"):
+    if stage_complete(cfg, "forecast"):
         return None
-    if series is None:
-        series = _build_series(cfg, manifest)
     fset = pipeline.run_forecasts(
-        series,
+        run_liquidity(cfg),
         window_days=cfg.window_days,
         tau=cfg.tau,
         stride=cfg.refit_stride,
@@ -306,25 +309,20 @@ def run_forecast(cfg: RunConfig,
     if not fset.records:
         raise click.ClickException("forecast stage produced no records; check window_days")
 
+    begin_stage(cfg, "forecast")
     pipeline.write_forecasts_csv(os.path.join(cfg.out_dir, "forecasts.csv"), fset)
     pipeline.write_windows_csv(os.path.join(cfg.out_dir, "windows.csv"), fset)
     pipeline.write_posteriors_csv(
         os.path.join(cfg.out_dir, "posteriors_regular.csv"), fset, "regular")
     pipeline.write_posteriors_csv(
         os.path.join(cfg.out_dir, "posteriors_adjusted.csv"), fset, "adjusted")
-
-    files = [
-        "forecasts.csv", "windows.csv",
-        "posteriors_regular.csv", "posteriors_adjusted.csv",
-        "table2.csv", "table2.md", "table3.csv", "table3.md",
-    ]
-    _write_table2(cfg, fset)
-    _write_table3(cfg, fset)
-    mark_stage(manifest, cfg.out_dir, "forecast", files)
+    files = ["forecasts.csv", "windows.csv", "posteriors_regular.csv", "posteriors_adjusted.csv"]
+    files += _write_table2(cfg, fset) + _write_table3(cfg, fset)
+    mark_stage(cfg, "forecast", files)
     return fset
 
 
-def _write_table2(cfg: RunConfig, fset: pipeline.ForecastSet) -> None:
+def _write_table2(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
     kind_labels = {"dcc": "dcc", "adcc": "adcc", "best": "dcc_best"}
     panels = []
     for what, label in (("omega", "conditional covariance"), ("post", "posterior covariance")):
@@ -339,34 +337,24 @@ def _write_table2(cfg: RunConfig, fset: pipeline.ForecastSet) -> None:
     for label, rows in panels:
         _, rendered = stats.comparison_rows_table(rows)
         body += [[label] + r for r in rendered]
-    stats.write_csv_table(os.path.join(cfg.out_dir, "table2.csv"), headers, body)
-    with open(os.path.join(cfg.out_dir, "table2.md"), "w") as fh:
-        fh.write("# One-sided tests: determinant, regular minus adjusted\n\n")
-        fh.write(stats.render_markdown_table(headers, body))
+    return _write_table(cfg, "table2", "One-sided tests: determinant, regular minus adjusted",
+                        headers, body)
 
 
-def _write_table3(cfg: RunConfig, fset: pipeline.ForecastSet) -> None:
+def _write_table3(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
     rows = stats.coefficient_tests(
         fset.coefficients("regular"), fset.coefficients("adjusted")
     )
-    headers, body = stats.comparison_rows_table(rows)
-    stats.write_csv_table(os.path.join(cfg.out_dir, "table3.csv"), headers, body)
-    with open(os.path.join(cfg.out_dir, "table3.md"), "w") as fh:
-        fh.write("# Two-sided tests: dynamics coefficients, regular vs adjusted\n\n")
-        fh.write(stats.render_markdown_table(headers, body))
+    return _write_table(cfg, "table3",
+                        "Two-sided tests: dynamics coefficients, regular vs adjusted",
+                        *stats.comparison_rows_table(rows))
 
 
 def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = load_manifest(cfg.out_dir, cfg.config_hash())
-    series = _build_series(cfg, manifest)
-
-    needs_chain = bool(set(cfg.variants) & {5, 6})
+    series = run_liquidity(cfg)
     posterior_regular = posterior_adjusted = None
-    if needs_chain:
-        if not stage_complete(manifest, cfg.out_dir, "forecast"):
-            run_forecast(cfg, series)
-            manifest = load_manifest(cfg.out_dir, cfg.config_hash())
+    if set(cfg.variants) & {5, 6}:
+        run_forecast(cfg)
         posterior_regular = pipeline.read_posteriors_csv(
             os.path.join(cfg.out_dir, "posteriors_regular.csv"))
         posterior_adjusted = pipeline.read_posteriors_csv(
@@ -374,34 +362,29 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
 
     results = portfolio.run_backtest(
         series.dates, series.q, series.q_adj, series.sigma_tt, series.sigma_tt_adj,
-        cfg.variants, cfg.window_days, cfg.annualization(),
+        cfg.variants, cfg.window_days, cfg.calendar().periods_per_year(),
         posterior_regular=posterior_regular,
         posterior_adjusted=posterior_adjusted,
     )
 
+    begin_stage(cfg, "backtest")
     files = []
+    headers = ["date"] + [f"w_{s}" for s in series.symbols] + ["cash", "realized_return"]
     for res in results:
         name = f"variant_{res.variant.id}.csv"
         files.append(name)
-        headers = ["date"] + [f"w_{s}" for s in series.symbols] + ["cash", "realized_return"]
-        rows = []
-        for i, date in enumerate(res.dates):
-            rows.append(
-                [date.isoformat()]
-                + [repr(float(w)) for w in res.weights[i]]
-                + [repr(float(res.realized[i]))]
-            )
+        rows = [
+            [date.isoformat()] + [repr(float(w)) for w in res.weights[i]]
+            + [repr(float(res.realized[i]))]
+            for i, date in enumerate(res.dates)
+        ]
         stats.write_csv_table(os.path.join(cfg.out_dir, name), headers, rows)
 
     headers = ["variant", "description", "return_in_mv", "covariance_in_mv",
                "mean_daily", "std_daily", "annualized_sharpe"]
-    body = portfolio.performance_rows(results)
-    stats.write_csv_table(os.path.join(cfg.out_dir, "table4.csv"), headers, body)
-    with open(os.path.join(cfg.out_dir, "table4.md"), "w") as fh:
-        fh.write("# Portfolio performance comparison\n\n")
-        fh.write(stats.render_markdown_table(headers, body))
-    files += ["table4.csv", "table4.md"]
-    mark_stage(manifest, cfg.out_dir, "backtest", files)
+    files += _write_table(cfg, "table4", "Portfolio performance comparison",
+                          headers, portfolio.performance_rows(results))
+    mark_stage(cfg, "backtest", files)
     return results
 
 
@@ -416,8 +399,6 @@ def run_report(cfg: RunConfig) -> str:
     out_path = os.path.join(cfg.out_dir, "report.md")
     with open(out_path, "w") as fh:
         fh.write(report)
-    manifest = load_manifest(cfg.out_dir, cfg.config_hash())
-    mark_stage(manifest, cfg.out_dir, "report", ["report.md"])
     return out_path
 
 
@@ -435,7 +416,6 @@ def _common_options(fn):
         click.option("--window", "window_days", type=int, default=None),
         click.option("--stride", "refit_stride", type=int, default=None),
         click.option("--tau", type=float, default=None),
-        click.option("--seed", type=int, default=None),
         click.option("--calendar", "asset_class",
                      type=click.Choice(["crypto", "equity"]), default=None),
     ]

@@ -316,24 +316,3 @@ def write_snapshots_csv(path, snapshots: Sequence[LiquiditySnapshot]) -> None:
             for beta in snap.betas:
                 row += [repr(beta.jump), repr(beta.diffusion), int(beta.degenerate)]
             writer.writerow(row)
-
-
-def write_snapshot_matrices(out_dir, snapshot: LiquiditySnapshot) -> None:
-    """Dump the day's dense matrices as CSV blocks (on-demand export)."""
-    import os
-
-    tag = snapshot.date.isoformat()
-    blocks = {
-        "sigma_tt": snapshot.sigma_tt,
-        "sigma_tt_adj": snapshot.sigma_tt_adj,
-        "jump": snapshot.jump_mat,
-        "diffusion": snapshot.diff_mat,
-        "composite": snapshot.comp_mat,
-    }
-    for name, mat in blocks.items():
-        path = os.path.join(out_dir, f"{tag}_{name}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(snapshot.symbols))
-            for row in np.asarray(mat):
-                writer.writerow([repr(float(v)) for v in row])

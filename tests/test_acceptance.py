@@ -267,7 +267,6 @@ def bundled_runs(tmp_path_factory):
             refit_stride=1,
             tau=1.0,
             variants=(1, 2, 3, 4, 5, 6),
-            seed=7,
         ))
 
     cfg_a = config(tmp / "run_a")

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -53,12 +54,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_mapping({"data_csv": data_csv, "out_dir": "x", "threads": 2})
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 7), ("periods_per_year", 365.0), ("histogram_bins", 50),
+        ("export_matrices", False)])
+    def test_removed_keys_rejected(self, data_csv, key, value):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            RunConfig.from_mapping({"data_csv": data_csv, "out_dir": "x", key: value})
+
     def test_hash_ignores_out_dir(self, data_csv, tmp_path):
-        a = make_config(data_csv, tmp_path / "a")
-        b = make_config(data_csv, tmp_path / "b")
-        assert a.config_hash() == b.config_hash()
-        c = make_config(data_csv, tmp_path / "c", tau=2.0)
-        assert c.config_hash() != a.config_hash()
+        a = make_config(data_csv, tmp_path / "a").stage_keys()
+        b = make_config(data_csv, tmp_path / "b").stage_keys()
+        assert a == b
+        c = make_config(data_csv, tmp_path / "c", tau=2.0).stage_keys()
+        assert c["liquidity"] == a["liquidity"]
+        assert c["forecast"] != a["forecast"]
 
     def test_flags_override_config_file(self, data_csv, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -148,6 +157,24 @@ class TestCommands:
         assert result.exit_code != 0
         assert "No such option" in result.output
 
+    def test_seed_flag_removed(self, data_csv, tmp_path):
+        result = CliRunner().invoke(main, [
+            "liquidity", "--data", data_csv, "--out", str(tmp_path / "o"), "--seed", "7",
+        ])
+        assert result.exit_code != 0
+        assert "No such option" in result.output
+
+    def test_truncated_manifest_rebuilds(self, data_csv, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"config_hash": "ab')
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(data_csv=data_csv, out_dir=str(out),
+                                            minutes_per_day=16)))
+        result = CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert cli.stage_complete(RunConfig.from_file(str(cfg_path)), "liquidity")
+
     def test_variant_one_needs_no_chain(self, data_csv, tmp_path):
         out = tmp_path / "lazy"
         cfg = make_config(data_csv, out, variants=(1,))
@@ -195,6 +222,25 @@ class TestCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "timestamp,symbol,close,dollar_volume"
         assert len(lines) == 1 + 2 * 3 * 4
+
+
+def ingest_counter(monkeypatch) -> list:
+    """Count raw-CSV ingests; returns the list of paths ingested."""
+    calls = []
+    ingest = cli.ingest_minute_csv
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+    return calls
+
+
+def assert_same_tree(got, expected):
+    names = sorted(os.listdir(expected))
+    assert sorted(os.listdir(got)) == names
+    assert [n for n in names if not filecmp.cmp(got / n, expected / n, shallow=False)] == []
 
 
 class TestGridCache:
@@ -285,24 +331,19 @@ class TestGridCache:
         out = tmp_path / "out"
         cfg = make_config(data, out, window_days=20)
         run_liquidity(cfg)
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["stages"]["liquidity"].remove("series.npz")
-        (out / "manifest.json").write_text(json.dumps(manifest))
+        # the whole-config-hash manifest of a tree written before series.npz
+        files = json.loads((out / "manifest.json").read_text())["stages"]["liquidity"]["files"]
+        files.remove("series.npz")
+        (out / "manifest.json").write_text(json.dumps(
+            {"config_hash": "0" * 64, "stages": {"liquidity": files}}))
         (out / "series.npz").unlink()
 
-        calls = []
-        ingest = cli.ingest_minute_csv
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return ingest(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+        calls = ingest_counter(monkeypatch)
         run_liquidity(cfg)
         assert calls == [data]
         run_liquidity(cfg)
         assert calls == [data]
-        assert "series.npz" in json.loads((out / "manifest.json").read_text())["stages"]["liquidity"]
+        assert "series.npz" in json.loads((out / "manifest.json").read_text())["stages"]["liquidity"]["files"]
 
     def test_interrupted_other_dataset_invalidates_the_stage(self, tmp_path, monkeypatch):
         data_a = self.dataset(tmp_path, "a.csv", 1)
@@ -328,18 +369,96 @@ class TestGridCache:
         assert [n for n in names if not filecmp.cmp(shared / n, fresh / n, shallow=False)] == []
 
     def test_fresh_backtest_ingests_once(self, data_csv, tmp_path, monkeypatch):
-        calls = []
-        ingest = cli.ingest_minute_csv
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return ingest(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+        calls = ingest_counter(monkeypatch)
         # variants 5 and 6 run the forecast stage lazily on the same series
         run_backtest_stage(make_config(data_csv, tmp_path / "out", window_days=90,
                                        refit_stride=10))
         assert calls == [data_csv]
+
+
+@pytest.fixture(scope="module")
+def complete_tree(data_csv, tmp_path_factory):
+    """A tree with every stage complete; tests copy it before changing it."""
+    out = tmp_path_factory.mktemp("complete") / "out"
+    run_backtest_stage(make_config(data_csv, out, window_days=90, refit_stride=10))
+    return out
+
+
+class TestStageKeys:
+    """Each stage is rebuilt when, and only when, one of its own inputs changes."""
+
+    @staticmethod
+    def copy(tree, tmp_path):
+        return shutil.copytree(tree, tmp_path / "out")
+
+    def test_variant_subset_keeps_the_other_stages(self, data_csv, complete_tree, tmp_path,
+                                                   monkeypatch):
+        out = self.copy(complete_tree, tmp_path)
+        calls = ingest_counter(monkeypatch)
+        assert len(run_backtest_stage(make_config(data_csv, out, window_days=90,
+                                                  refit_stride=10, variants=(1,)))) == 1
+        cfg = make_config(data_csv, out, window_days=90, refit_stride=10)
+        assert cli.stage_complete(cfg, "liquidity") and cli.stage_complete(cfg, "forecast")
+        run_liquidity(cfg)
+        assert calls == []
+        # the backtest stage's files of the six-variant run are gone with its entry
+        assert not os.path.exists(out / "variant_6.csv")
+
+    def test_tau_change_refits_without_ingest(self, data_csv, complete_tree, tmp_path,
+                                              monkeypatch):
+        out = self.copy(complete_tree, tmp_path)
+        calls = ingest_counter(monkeypatch)
+        cfg = make_config(data_csv, out, window_days=90, refit_stride=10, tau=2.0)
+        assert not cli.stage_complete(cfg, "forecast")
+        run_backtest_stage(cfg)
+        assert calls == []
+        expected = tmp_path / "expected"
+        run_backtest_stage(make_config(data_csv, expected, window_days=90, refit_stride=10,
+                                       tau=2.0))
+        assert_same_tree(out, expected)
+
+    def test_data_rewritten_in_place(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_synthetic_csv(data, n_assets=3, n_days=40, minutes_per_day=16, seed=1)
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        run_liquidity(make_config(str(data), shared, window_days=20))
+        write_synthetic_csv(data, n_assets=3, n_days=40, minutes_per_day=16, seed=2)
+        resumed = run_liquidity(make_config(str(data), shared, window_days=20))
+        expected = run_liquidity(make_config(str(data), fresh, window_days=20))
+        assert np.array_equal(resumed.q, expected.q)
+        assert_same_tree(shared, fresh)
+
+    def test_calendar_change_rebuilds(self, data_csv, tmp_path, monkeypatch):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        run_liquidity(make_config(data_csv, shared))
+        calls = ingest_counter(monkeypatch)
+        run_liquidity(make_config(data_csv, shared, minutes_per_day=20))
+        assert calls == [data_csv]
+        run_liquidity(make_config(data_csv, fresh, minutes_per_day=20))
+        assert_same_tree(shared, fresh)
+
+    def test_fresh_forecast_completes_the_liquidity_stage(self, data_csv, tmp_path,
+                                                          monkeypatch):
+        cfg = make_config(data_csv, tmp_path / "out", window_days=90, refit_stride=10)
+        cli.run_forecast(cfg)
+        assert cli.stage_complete(cfg, "liquidity")
+        calls = ingest_counter(monkeypatch)
+        run_liquidity(cfg)
+        assert calls == []
+
+    def test_stale_rejected_days_removed(self, tmp_path):
+        clean = tmp_path / "clean.csv"
+        write_synthetic_csv(clean, n_assets=3, n_days=40, minutes_per_day=16, seed=1)
+        gappy = tmp_path / "gappy.csv"
+        gap = tuple(f"2020-01-03T00:0{m}:00Z,A00," for m in range(5))
+        gappy.write_text("".join(line for line in clean.read_text().splitlines(True)
+                                 if not line.startswith(gap)))
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        run_liquidity(make_config(str(gappy), shared, window_days=20))
+        assert os.path.exists(shared / "rejected_days.csv")
+        run_liquidity(make_config(str(clean), shared, window_days=20))
+        run_liquidity(make_config(str(clean), fresh, window_days=20))
+        assert_same_tree(shared, fresh)
 
 
 class TestDeterminism:

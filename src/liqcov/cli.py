@@ -26,14 +26,12 @@ import numpy as np
 
 from . import pipeline, portfolio, stats
 from .condsvd import conditional_svd
-from .liquidity import write_snapshots_csv
 from .marketdata import (
     AssetClass,
     CalendarSpec,
     CsvParseError,
     ingest_minute_csv,
     ingest_tick_csv,
-    write_grids_csv,
 )
 from .synthetic import write_synthetic_csv
 
@@ -186,14 +184,17 @@ def stage_complete(cfg: RunConfig, stage: str) -> bool:
 
 
 def begin_stage(cfg: RunConfig, stage: str) -> None:
-    """Drop stage's entry from the manifest on disk, then delete the files
-    it listed.  Runs before the stage writes its first file, so an
-    interrupted stage is never marked complete and no file of an earlier
-    run of the stage is left behind."""
+    """Drop stage's entry, and every other entry whose key is not cfg's key
+    for that stage, from the manifest on disk; then delete the files they
+    listed.  Runs before the stage writes its first file, so an interrupted
+    stage is never marked complete, and no file of an earlier run of the
+    stage, or of a stage computed from other inputs, is left behind."""
+    keys = cfg.stage_keys()
     entries = _read_entries(cfg.out_dir)
-    entry = entries.pop(stage, {"files": ()})
+    dropped = [entries.pop(name) for name in list(entries)
+               if name == stage or entries[name]["key"] != keys.get(name)]
     _write_entries(cfg.out_dir, entries)
-    for name in entry["files"]:
+    for name in (f for entry in dropped for f in entry["files"]):
         if os.path.exists(path := os.path.join(cfg.out_dir, name)):
             os.remove(path)
 
@@ -219,8 +220,8 @@ def _write_table(cfg: RunConfig, name: str, title: str, headers, body) -> list[s
 
 def _begin_liquidity(cfg: RunConfig, files: list[str]):
     """Build the grids from the raw CSV, begin the liquidity stage and write
-    the grids.csv dump, plus rejected_days.csv when a day was rejected.
-    Returns the grids and adds the names written to files."""
+    rejected_days.csv when a day was rejected.  Returns the grids and adds
+    the name written to files."""
     ingest = ingest_tick_csv if cfg.data_kind == "tick" else ingest_minute_csv
     try:
         result = ingest(cfg.data_csv, cfg.calendar())
@@ -229,14 +230,12 @@ def _begin_liquidity(cfg: RunConfig, files: list[str]):
     if not result.grids:
         raise click.ClickException(f"{cfg.data_csv}: no complete asset-days found")
     begin_stage(cfg, "liquidity")
-    write_grids_csv(os.path.join(cfg.out_dir, "grids.csv"), result.grids)
-    files.append("grids.csv")
     if result.rejected:
         rej_path = os.path.join(cfg.out_dir, "rejected_days.csv")
         stats.write_csv_table(
             rej_path,
             ["symbol", "date", "missing_minutes", "total_minutes", "reason"],
-            [[r.symbol, r.date.isoformat(), r.missing_minutes, r.total_minutes, r.reason]
+            [[r.symbol, r.date, r.missing_minutes, r.total_minutes, r.reason]
              for r in result.rejected],
         )
         files.append("rejected_days.csv")
@@ -255,18 +254,23 @@ def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
     files = ["snapshots.csv", "asset_days.csv", "series.npz"]
     snapshots = pipeline.snapshots_from_grids(_begin_liquidity(cfg, files))
     series = pipeline.assemble_series(snapshots)
-    write_snapshots_csv(os.path.join(cfg.out_dir, "snapshots.csv"), snapshots)
 
-    day_rows = [
-        [asset.date.isoformat(), asset.symbol,
-         repr(asset.daily_return), repr(asset.daily_liq_return),
-         repr(asset.daily_vol), repr(asset.daily_liq_vol), int(asset.degenerate)]
-        for snap in snapshots for asset in snap.asset_days
-    ]
+    header = ["date", "det_jump_raw", "det_jump_capped", "det_diff_raw", "det_diff_capped",
+              "det_comp_raw", "det_comp_capped"]
+    header += [f"{col}_{sym}" for sym in series.symbols
+               for col in ("beta_jump", "beta_diff", "degenerate")]
+    stats.write_csv_table(os.path.join(cfg.out_dir, "snapshots.csv"), header, (
+        [snap.date, snap.det_jump_raw, snap.det_jump, snap.det_diff_raw, snap.det_diff,
+         snap.det_comp_raw, snap.det_comp]
+        + [v for beta in snap.betas for v in (beta.jump, beta.diffusion, beta.degenerate)]
+        for snap in snapshots
+    ))
     stats.write_csv_table(
         os.path.join(cfg.out_dir, "asset_days.csv"),
         ["date", "symbol", "ret", "ret_adj", "vol", "vol_adj", "degenerate"],
-        day_rows,
+        [[asset.date, asset.symbol, asset.daily_return, asset.daily_liq_return,
+          asset.daily_vol, asset.daily_liq_vol, asset.degenerate]
+         for snap in snapshots for asset in snap.asset_days],
     )
 
     capped = {
@@ -373,12 +377,11 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
     for res in results:
         name = f"variant_{res.variant.id}.csv"
         files.append(name)
-        rows = [
-            [date.isoformat()] + [repr(float(w)) for w in res.weights[i]]
-            + [repr(float(res.realized[i]))]
-            for i, date in enumerate(res.dates)
-        ]
-        stats.write_csv_table(os.path.join(cfg.out_dir, name), headers, rows)
+        stats.write_csv_table(os.path.join(cfg.out_dir, name), headers, (
+            [date, *weights, realized]
+            for date, weights, realized in zip(res.dates, res.weights.tolist(),
+                                               res.realized.tolist())
+        ))
 
     headers = ["variant", "description", "return_in_mv", "covariance_in_mv",
                "mean_daily", "std_daily", "annualized_sharpe"]

@@ -25,7 +25,6 @@ modeling equations always use the raw matrices.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from typing import Sequence
@@ -294,25 +293,3 @@ def build_snapshot(day_grids: Sequence[MinuteGrid]) -> LiquiditySnapshot:
         det_comp_raw=float(np.linalg.det(b_comp)),
     )
 
-
-def write_snapshots_csv(path, snapshots: Sequence[LiquiditySnapshot]) -> None:
-    """One row per day: raw and capped determinants plus per-asset ratios."""
-    if not snapshots:
-        raise ValueError("no snapshots")
-    symbols = snapshots[0].symbols
-    header = ["date"]
-    for name in ("jump", "diff", "comp"):
-        header += [f"det_{name}_raw", f"det_{name}_capped"]
-    for sym in symbols:
-        header += [f"beta_jump_{sym}", f"beta_diff_{sym}", f"degenerate_{sym}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for snap in sorted(snapshots, key=lambda s: s.date):
-            row = [snap.date.isoformat()]
-            row += [repr(snap.det_jump_raw), repr(snap.det_jump)]
-            row += [repr(snap.det_diff_raw), repr(snap.det_diff)]
-            row += [repr(snap.det_comp_raw), repr(snap.det_comp)]
-            for beta in snap.betas:
-                row += [repr(beta.jump), repr(beta.diffusion), int(beta.degenerate)]
-            writer.writerow(row)

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dcc as dcc_mod
+from . import stats
 from . import vecm as vecm_mod
 from .bayes import posterior_covariance
 from .linalg import single_blas_thread
@@ -335,58 +336,32 @@ def run_forecasts(
 # persistence
 # ---------------------------------------------------------------------------
 
-FORECAST_HEADER = [
-    "date", "pipeline", "kind", "det_prior", "det_omega", "det_post",
-    "det_omega_scaled", "a", "b", "g", "loglik", "fallback", "lag", "rank",
-]
-WINDOW_HEADER = [
-    "anchor_date", "pipeline", "lag", "rank", "aic", "vecm_loglik", "ridge",
-    "dcc_a", "dcc_b", "dcc_loglik", "dcc_fallback",
-    "adcc_a", "adcc_b", "adcc_g", "adcc_loglik", "adcc_fallback", "best_kind",
-]
+def _write_records_csv(path, cls, records, omit=()) -> None:
+    """One row per record, one column per field of cls not in omit."""
+    header = [f.name for f in dataclasses.fields(cls) if f.name not in omit]
+    stats.write_csv_table(path, header, ([getattr(r, name) for name in header] for r in records))
 
 
 def write_forecasts_csv(path, fset: ForecastSet) -> None:
-    rows = sorted(fset.records, key=lambda r: (r.date, r.pipeline, r.kind))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FORECAST_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.date.isoformat(), r.pipeline, r.kind,
-                repr(r.det_prior), repr(r.det_omega), repr(r.det_post),
-                repr(r.det_omega_scaled),
-                repr(r.a), repr(r.b), repr(r.g), repr(r.loglik),
-                int(r.fallback), r.lag, r.rank,
-            ])
+    _write_records_csv(path, ForecastRecord,
+                       sorted(fset.records, key=lambda r: (r.date, r.pipeline, r.kind)),
+                       omit=("omega_hat", "sigma_post"))
 
 
 def write_windows_csv(path, fset: ForecastSet) -> None:
-    rows = sorted(fset.windows, key=lambda w: (w.anchor_date, w.pipeline))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WINDOW_HEADER)
-        for w in rows:
-            writer.writerow([
-                w.anchor_date.isoformat(), w.pipeline, w.lag, w.rank,
-                repr(w.aic), repr(w.vecm_loglik), int(w.ridge),
-                repr(w.dcc_a), repr(w.dcc_b), repr(w.dcc_loglik), int(w.dcc_fallback),
-                repr(w.adcc_a), repr(w.adcc_b), repr(w.adcc_g),
-                repr(w.adcc_loglik), int(w.adcc_fallback), w.best_kind,
-            ])
+    _write_records_csv(path, WindowRecord,
+                       sorted(fset.windows, key=lambda w: (w.anchor_date, w.pipeline)))
 
 
 def write_posteriors_csv(path, fset: ForecastSet, pipeline: str) -> None:
     """The "best" posterior covariance matrices in long form for the backtest stage."""
     posteriors = fset.posteriors(pipeline)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "row", "col", "value"])
-        for date in sorted(posteriors):
-            mat = posteriors[date]
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    writer.writerow([date.isoformat(), i, j, repr(float(mat[i, j]))])
+    stats.write_csv_table(path, ["date", "row", "col", "value"], (
+        [date, i, j, value]
+        for date in sorted(posteriors)
+        for i, row in enumerate(posteriors[date].tolist())
+        for j, value in enumerate(row)
+    ))
 
 
 def read_posteriors_csv(path) -> dict[dt.date, np.ndarray]:

@@ -10,8 +10,9 @@ significance stars mark the 1% / 5% / 10% levels.
 from __future__ import annotations
 
 import csv
+import datetime as dt
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -206,12 +207,24 @@ def render_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]])
     return "\n".join(lines) + "\n"
 
 
-def write_csv_table(path, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _csv_cell(value):
+    """The one cell format of every output CSV: a float in its shortest
+    round-trip repr, a flag as 0/1, a date in ISO 8601; an int or str as it is."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
+
+
+def write_csv_table(path, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write headers and rows of raw values, each cell formatted by _csv_cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(headers)
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 def descriptive_rows_table(columns: Mapping[str, DescriptiveRow]) -> tuple[list[str], list[list[str]]]:
@@ -255,11 +268,8 @@ def comparison_rows_table(rows: Sequence[ComparisonRow]) -> tuple[list[str], lis
 
 
 def write_histogram_csv(path, counts, edges) -> None:
-    rows = [
-        [repr(float(edges[i])), repr(float(edges[i + 1])), str(int(counts[i]))]
-        for i in range(len(counts))
-    ]
-    write_csv_table(path, ["bin_left", "bin_right", "count"], rows)
+    write_csv_table(path, ["bin_left", "bin_right", "count"],
+                    zip(edges[:-1], edges[1:], counts))
 
 
 def write_histogram_svg(path, counts, edges, title: str = "") -> None:

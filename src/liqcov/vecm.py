@@ -270,7 +270,7 @@ def fit_vecm(window, p: int | None = None, coint_rank: int | None = None) -> Vec
     phi = _levels_from_ecm(gamma, phi_star)
     sigma = resid.T @ resid / n_eff
     _, logdet = np.linalg.slogdet(sigma + 1e-300 * np.eye(dim))
-    loglik = -0.5 * n_eff * (dim * np.log(2.0 * np.pi) + float(logdet) + dim)
+    loglik = float(-0.5 * n_eff * (dim * np.log(2.0 * np.pi) + float(logdet) + dim))
     n_params = dim * dim * (p - 1)
     if coint_rank == dim:
         n_params += dim * dim

@@ -5,6 +5,7 @@ success; failures surface the line in the captured output).  Criteria 7 and
 8 share one full pipeline run pair over the bundled synthetic dataset.
 """
 
+import csv
 import filecmp
 import math
 import os
@@ -337,3 +338,21 @@ def test_criterion_8_determinism_across_reruns(bundled_runs):
     ok = same_tree and not mismatches
     report(8, "bit-identical output trees across fresh reruns", ok,
            f"{len(names_a)} files" + (f", mismatches {mismatches}" if mismatches else ""))
+
+
+def test_output_cells_parse(bundled_runs):
+    """Every numeric cell of the chain's tables reads back with float(), and no
+    cell of any output CSV carries a numpy type name."""
+    out = bundled_runs[0].out_dir
+    text_columns = {"date", "anchor_date", "pipeline", "kind", "best_kind"}
+    chain_tables = ("forecasts.csv", "windows.csv",
+                    "posteriors_regular.csv", "posteriors_adjusted.csv")
+    for name in sorted(f for f in os.listdir(out) if f.endswith(".csv")):
+        with open(os.path.join(out, name), newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        for row in rows:
+            assert not [c for c in row if "np." in c], (name, row)
+            if name in chain_tables:
+                for column, cell in zip(header, row):
+                    if column not in text_columns:
+                        float(cell)

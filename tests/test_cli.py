@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from liqcov import cli, marketdata, pipeline
+from liqcov import cli, marketdata, pipeline, stats
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
 from liqcov.synthetic import write_synthetic_csv
 
@@ -84,10 +84,11 @@ class TestCommands:
         cfg = make_config(data_csv, tmp_path / "out")
         series = run_liquidity(cfg)
         assert series.n_days == 110
-        for name in ("grids.csv", "snapshots.csv", "asset_days.csv",
+        for name in ("snapshots.csv", "asset_days.csv",
                      "table1.csv", "table1.md", "hist_jump.csv", "hist_jump.svg",
                      "manifest.json"):
             assert os.path.exists(tmp_path / "out" / name), name
+        assert not os.path.exists(tmp_path / "out" / "grids.csv")
         with open(tmp_path / "out" / "table1.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["measure", "liquidity jump", "liquidity diffusion",
@@ -261,7 +262,7 @@ class TestGridCache:
         snaps_b = (tmp_path / "fresh" / "snapshots.csv").read_bytes()
         assert snaps_b != snaps_a
         assert (shared / "snapshots.csv").read_bytes() == snaps_b
-        assert (shared / "grids.csv").read_bytes() == (tmp_path / "fresh" / "grids.csv").read_bytes()
+        assert (shared / "series.npz").read_bytes() == (tmp_path / "fresh" / "series.npz").read_bytes()
 
     def test_completed_liquidity_stage_reuses_grids(self, tmp_path, monkeypatch):
         data = self.dataset(tmp_path, "a.csv", 1)
@@ -269,7 +270,7 @@ class TestGridCache:
         run_liquidity(cfg)
 
         def no_ingest(*args, **kwargs):
-            raise AssertionError("grids.csv of a completed liquidity stage was rebuilt")
+            raise AssertionError("a completed liquidity stage ingested the raw CSV again")
 
         monkeypatch.setattr(cli, "ingest_minute_csv", no_ingest)
         run_liquidity(cfg)
@@ -356,7 +357,7 @@ class TestGridCache:
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "write_snapshots_csv", interrupted)
+            patch.setattr(stats, "write_csv_table", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 run_liquidity(make_config(data_b, shared, window_days=20))
 
@@ -427,6 +428,19 @@ class TestStageKeys:
         expected = run_liquidity(make_config(str(data), fresh, window_days=20))
         assert np.array_equal(resumed.q, expected.q)
         assert_same_tree(shared, fresh)
+
+    def test_other_dataset_drops_the_stages_keyed_on_it(self, complete_tree, tmp_path):
+        out = self.copy(complete_tree, tmp_path)
+        data_b = tmp_path / "b.csv"
+        write_synthetic_csv(data_b, n_assets=3, n_days=40, minutes_per_day=16, seed=2)
+        fresh = tmp_path / "fresh"
+        for tree in (out, fresh):
+            cfg = make_config(str(data_b), tree, window_days=90, refit_stride=10)
+            run_liquidity(cfg)
+            cli.run_report(cfg)
+        assert not os.path.exists(out / "variant_6.csv")
+        assert (out / "report.md").read_bytes() == (fresh / "report.md").read_bytes()
+        assert_same_tree(out, fresh)
 
     def test_calendar_change_rebuilds(self, data_csv, tmp_path, monkeypatch):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"

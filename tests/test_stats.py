@@ -1,5 +1,7 @@
 """Descriptive tables, pooled t-tests, histograms, and emitters."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
@@ -12,6 +14,7 @@ from liqcov.stats import (
     render_markdown_table,
     significance_stars,
     two_sample_ttest,
+    write_csv_table,
     write_histogram_svg,
 )
 
@@ -179,3 +182,12 @@ def test_markdown_table_render():
     lines = md.strip().splitlines()
     assert lines[0] == "| a | b |"
     assert len(lines) == 4
+
+
+def test_csv_cell_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv_table(path, ["a", "b", "c", "d", "e", "f", "g"], [
+        [dt.date(2021, 3, 1), np.float64(0.1), 1 / 3, np.bool_(True), False, np.int64(7), "x"],
+    ])
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g\n2021-03-01,0.1,0.3333333333333333,1,0,7,x\n")

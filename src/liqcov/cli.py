@@ -175,11 +175,13 @@ def _write_entries(out_dir: str, entries: dict) -> None:
     _write_replacing(_manifest_path(out_dir), write)
 
 
-def stage_complete(cfg: RunConfig, stage: str) -> bool:
-    """Whether stage's entry has cfg's key and every file it lists exists."""
+def stage_complete(cfg: RunConfig, stage: str, *required: str) -> bool:
+    """Whether stage's entry has cfg's key, lists every required file, and
+    every file it lists exists.  An entry that an older version wrote
+    without a file the stage now needs is not complete."""
     key = cfg.stage_keys()[stage]      # first: a missing data file is an error
     entry = _read_entries(cfg.out_dir).get(stage)
-    return (entry is not None and entry["key"] == key
+    return (entry is not None and entry["key"] == key and set(required) <= set(entry["files"])
             and all(os.path.exists(os.path.join(cfg.out_dir, f)) for f in entry["files"]))
 
 
@@ -320,7 +322,10 @@ def run_forecast(cfg: RunConfig) -> pipeline.ForecastSet | None:
         os.path.join(cfg.out_dir, "posteriors_regular.csv"), fset, "regular")
     pipeline.write_posteriors_csv(
         os.path.join(cfg.out_dir, "posteriors_adjusted.csv"), fset, "adjusted")
-    files = ["forecasts.csv", "windows.csv", "posteriors_regular.csv", "posteriors_adjusted.csv"]
+    stats.write_csv_table(os.path.join(cfg.out_dir, "forecast_failures.csv"),
+                          ["date", "message"], fset.failures)
+    files = ["forecasts.csv", "windows.csv", "posteriors_regular.csv", "posteriors_adjusted.csv",
+             "forecast_failures.csv"]
     files += _write_table2(cfg, fset) + _write_table3(cfg, fset)
     mark_stage(cfg, "forecast", files)
     return fset
@@ -355,6 +360,17 @@ def _write_table3(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
 
 
 def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
+    """The backtest results of cfg's variants: read back from the stage's
+    own files when the stage is complete, else solved and written."""
+    periods_per_year = cfg.calendar().periods_per_year()
+    names = {vid: f"variant_{vid}.csv" for vid in sorted(set(cfg.variants))}
+    failures_path = os.path.join(cfg.out_dir, "backtest_failures.csv")
+    if stage_complete(cfg, "backtest", "backtest_failures.csv"):
+        failures = portfolio.read_failures_csv(failures_path)
+        return [portfolio.read_variant_csv(os.path.join(cfg.out_dir, name), portfolio.VARIANTS[vid],
+                                           periods_per_year, failures.get(vid, ()))
+                for vid, name in names.items()]
+
     series = run_liquidity(cfg)
     posterior_regular = posterior_adjusted = None
     if set(cfg.variants) & {5, 6}:
@@ -366,23 +382,17 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
 
     results = portfolio.run_backtest(
         series.dates, series.q, series.q_adj, series.sigma_tt, series.sigma_tt_adj,
-        cfg.variants, cfg.window_days, cfg.calendar().periods_per_year(),
+        cfg.variants, cfg.window_days, periods_per_year,
         posterior_regular=posterior_regular,
         posterior_adjusted=posterior_adjusted,
     )
 
     begin_stage(cfg, "backtest")
-    files = []
-    headers = ["date"] + [f"w_{s}" for s in series.symbols] + ["cash", "realized_return"]
     for res in results:
-        name = f"variant_{res.variant.id}.csv"
-        files.append(name)
-        stats.write_csv_table(os.path.join(cfg.out_dir, name), headers, (
-            [date, *weights, realized]
-            for date, weights, realized in zip(res.dates, res.weights.tolist(),
-                                               res.realized.tolist())
-        ))
-
+        portfolio.write_variant_csv(os.path.join(cfg.out_dir, names[res.variant.id]), res,
+                                    series.symbols)
+    portfolio.write_failures_csv(failures_path, results)
+    files = [*names.values(), "backtest_failures.csv"]
     headers = ["variant", "description", "return_in_mv", "covariance_in_mv",
                "mean_daily", "std_daily", "annualized_sharpe"]
     files += _write_table(cfg, "table4", "Portfolio performance comparison",

@@ -57,6 +57,12 @@ _CORR_CAP = MAX_PERSISTENCE - 1e-12
 _GARCH_FALLBACK = (0.05, 0.90)
 _DCC_FALLBACK = (0.02, 0.95)
 
+# An ADCC fit below the DCC fit it nests by more than this share of DCC's
+# log-likelihood is solved again from the DCC optimum.  Smaller gaps are two
+# solves stopping at slightly different points of one flat optimum (at most
+# 4.3e-16 of the log-likelihood on the bundled data).
+_NESTING_RTOL = 1e-9
+
 
 def _minimize_fd(fun, x0: np.ndarray, bounds) -> "object":
     """One bounded L-BFGS-B solve of ``fun``, which returns (value, gradient).
@@ -205,6 +211,13 @@ def _corr_starts(kind: str) -> list[tuple[float, ...]]:
     return starts
 
 
+def _nested_start(dcc_fit: DccFit) -> np.ndarray:
+    """The DCC optimum as an ADCC box point, with g = 0."""
+    rem = _CORR_CAP - dcc_fit.b
+    v2 = dcc_fit.a / rem if rem > 0.0 else 0.0
+    return np.clip([dcc_fit.b / _CORR_CAP, v2, 0.0], 0.0, 1.0)
+
+
 def _standardize(residuals: np.ndarray, garch: tuple[Garch11Params, ...]) -> tuple[np.ndarray, np.ndarray]:
     n, dim = residuals.shape
     h2 = np.empty((n, dim))
@@ -221,7 +234,8 @@ def fit_garch_stage(residuals) -> tuple[Garch11Params, ...]:
 
 
 def fit_dcc(residuals, kind: str = "dcc", *,
-            garch: tuple[Garch11Params, ...] | None = None) -> DccFit:
+            garch: tuple[Garch11Params, ...] | None = None,
+            nested: DccFit | None = None) -> DccFit:
     """Two-stage fit of the conditional covariance dynamics.
 
     residuals is (n_obs, n_assets).  kind selects the symmetric ("dcc") or
@@ -229,9 +243,16 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     stage-one fit of these residuals (``fit_garch_stage``), which does not
     depend on kind, so fits of both kinds can share it.  Non-convergence
     falls back to (a, b) = (0.02, 0.95) with the fallback flag set.
+
+    nested, for an "adcc" fit, is the "dcc" fit of the same residuals and
+    GARCH stage.  ADCC with g = 0 is DCC, so an ADCC fit that ends below
+    it (by more than rounding) is solved once more from its optimum, and
+    the better of the two results is kept.
     """
     if kind not in ("dcc", "adcc"):
         raise ValueError(f"kind must be 'dcc' or 'adcc', got {kind!r}")
+    if nested is not None and (kind, nested.kind) != ("adcc", "dcc"):
+        raise ValueError("only an 'adcc' fit nests a 'dcc' fit")
     e = np.ascontiguousarray(residuals, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError("residuals must be (n_obs, n_assets)")
@@ -240,6 +261,8 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         garch = fit_garch_stage(e)
     elif len(garch) != dim:
         raise ValueError(f"{len(garch)} GARCH fits for {dim} residual series")
+    if nested is not None and nested.garch != garch:
+        raise ValueError("the nested DCC fit has another GARCH stage")
     h2, xi = _standardize(e, garch)
     xi = np.ascontiguousarray(xi)
     neg = np.ascontiguousarray(np.where(xi < 0.0, xi, 0.0))
@@ -252,16 +275,23 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     np.fill_diagonal(obar, 1.0)
     nbar = np.ascontiguousarray(symmetrize(neg.T @ neg / n))
 
+    def objective(x):
+        params, jac = _corr_from_x(x)
+        nll, grad, _ = corr_negloglik(xi, neg, obar, nbar, *params)
+        return nll / n, (grad / n) @ jac
+
+    vol_term = 0.5 * float(np.sum(np.log(h2)))
+
+    def score(a, b, g):
+        """The full log-likelihood at (a, b, g), and the last Q."""
+        nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
+        return float(-(nll_corr + 0.5 * n * dim * LOG_2PI + vol_term)), q_last
+
+    bounds = [(0.0, 1.0)] * (2 if kind == "dcc" else 3)
     fallback = False
     if dim == 1:
         a, b, g = 0.0, 0.0, 0.0
     else:
-        def objective(x):
-            params, jac = _corr_from_x(x)
-            nll, grad, _ = corr_negloglik(xi, neg, obar, nbar, *params)
-            return nll / n, (grad / n) @ jac
-
-        bounds = [(0.0, 1.0)] * (2 if kind == "dcc" else 3)
         best_x = _fit_box(objective, _corr_starts(kind), bounds)
         if best_x is None:
             logger.warning("%s optimizer failed; boundary fallback used", kind)
@@ -271,13 +301,16 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         else:
             (a, b, g), _ = _corr_from_x(best_x)
 
-    nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
-    if not np.isfinite(nll_corr):
+    loglik, q_last = score(a, b, g)
+    if not np.isfinite(loglik):
         # fallback parameters must at least produce a valid recursion
         a, b, g, fallback = 0.0, 0.0, 0.0, True
-        nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
-    vol_term = 0.5 * float(np.sum(np.log(h2)))
-    loglik = -(nll_corr + 0.5 * n * dim * LOG_2PI + vol_term)
+        loglik, q_last = score(a, b, g)
+    if nested is not None and loglik < nested.loglik - _NESTING_RTOL * abs(nested.loglik):
+        params, _ = _corr_from_x(_minimize_fd(objective, _nested_start(nested), bounds).x)
+        nested_loglik, nested_q = score(*params)
+        if nested_loglik > loglik:
+            (a, b, g), loglik, q_last, fallback = params, nested_loglik, nested_q, False
 
     return DccFit(
         kind=kind,
@@ -286,7 +319,7 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         g=float(g),
         obar=obar,
         nbar=nbar,
-        loglik=float(loglik),
+        loglik=loglik,
         garch=garch,
         last_e=e[-1].copy(),
         last_h2=h2[-1].copy(),

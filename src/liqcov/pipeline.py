@@ -198,7 +198,7 @@ def _fit_window_pipeline(q_window: np.ndarray):
     fit = vecm_mod.fit_vecm(q_window, lag)
     garch = dcc_mod.fit_garch_stage(fit.residuals)
     dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch)
-    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch)
+    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch, nested=dcc_fit)
     return fit, dcc_fit, adcc_fit
 
 

@@ -17,6 +17,7 @@ portfolio trades in.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import logging
 import math
@@ -25,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import stats
 from .linalg import check_symmetric, floor_psd, min_eigenvalue
 
 logger = logging.getLogger(__name__)
@@ -244,6 +246,31 @@ def sharpe_annualized(daily_returns, periods_per_year: float) -> float:
     return mean * periods_per_year / (std * math.sqrt(periods_per_year))
 
 
+def backtest_result(
+    variant: PortfolioVariant,
+    dates: Sequence[dt.date],
+    weights: np.ndarray,
+    realized: np.ndarray,
+    periods_per_year: float,
+    failures: Sequence[tuple[dt.date, str]],
+) -> BacktestResult:
+    """One variant's result, with the Sharpe ratio, mean, standard deviation
+    and degenerate flag computed from its realized returns.  A fresh backtest
+    and one read back from its files both build their results here."""
+    sharpe = sharpe_annualized(realized, periods_per_year)
+    return BacktestResult(
+        variant=variant,
+        dates=list(dates),
+        weights=weights,
+        realized=realized,
+        sharpe=sharpe,
+        mean_daily=float(realized.mean()),
+        std_daily=float(realized.std(ddof=1)),
+        degenerate=not math.isfinite(sharpe),
+        failures=list(failures),
+    )
+
+
 def run_backtest(
     dates: Sequence[dt.date],
     q: np.ndarray,
@@ -308,21 +335,8 @@ def run_backtest(
             weight_rows.append(weights)
             realized.append(float(weights[:n_assets] @ q[t + 1]))
 
-        realized_arr = np.array(realized)
-        sharpe = sharpe_annualized(realized_arr, periods_per_year)
-        results.append(
-            BacktestResult(
-                variant=variant,
-                dates=trade_dates,
-                weights=np.vstack(weight_rows),
-                realized=realized_arr,
-                sharpe=sharpe,
-                mean_daily=float(realized_arr.mean()),
-                std_daily=float(realized_arr.std(ddof=1)),
-                degenerate=not math.isfinite(sharpe),
-                failures=failures,
-            )
-        )
+        results.append(backtest_result(variant, trade_dates, np.vstack(weight_rows),
+                                       np.array(realized), periods_per_year, failures))
     return results
 
 
@@ -355,3 +369,51 @@ def performance_rows(results: Sequence[BacktestResult]) -> list[list[str]]:
             "degenerate" if res.degenerate else f"{res.sharpe:.2f}",
         ])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# persistence
+# ---------------------------------------------------------------------------
+
+def write_variant_csv(path, result: BacktestResult, symbols: Sequence[str]) -> None:
+    """One row per trade date: the weights (cash last) and the realized return."""
+    headers = ["date"] + [f"w_{s}" for s in symbols] + ["cash", "realized_return"]
+    stats.write_csv_table(path, headers, (
+        [date, *weights, realized]
+        for date, weights, realized in zip(result.dates, result.weights.tolist(),
+                                           result.realized.tolist())
+    ))
+
+
+def read_variant_csv(path, variant: PortfolioVariant, periods_per_year: float,
+                     failures: Sequence[tuple[dt.date, str]]) -> BacktestResult:
+    """The result that write_variant_csv wrote, its arrays bitwise equal to
+    the written ones (each float cell is a round-trip repr)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = list(reader)
+    values = np.array([[float(cell) for cell in row[1:]] for row in rows])
+    return backtest_result(
+        variant, [dt.date.fromisoformat(row[0]) for row in rows],
+        np.ascontiguousarray(values[:, :-1]), np.ascontiguousarray(values[:, -1]),
+        periods_per_year, failures)
+
+
+def write_failures_csv(path, results: Sequence[BacktestResult]) -> None:
+    """Every carried-forward day: variant, trade date and message.  A run
+    with none writes the header alone."""
+    stats.write_csv_table(path, ["variant", "date", "message"], (
+        [res.variant.id, date, message] for res in results for date, message in res.failures
+    ))
+
+
+def read_failures_csv(path) -> dict[int, list[tuple[dt.date, str]]]:
+    """The failures write_failures_csv wrote, by variant id."""
+    failures: dict[int, list[tuple[dt.date, str]]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for vid, date, message in reader:
+            failures.setdefault(int(vid), []).append((dt.date.fromisoformat(date), message))
+    return failures

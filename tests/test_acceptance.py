@@ -356,3 +356,14 @@ def test_output_cells_parse(bundled_runs):
                 for column, cell in zip(header, row):
                     if column not in text_columns:
                         float(cell)
+
+
+def test_adcc_never_below_the_dcc_it_nests(bundled_runs):
+    """Every bundled window's ADCC fit ends no lower than its DCC fit, up to
+    rounding (ADCC with g = 0 is DCC)."""
+    with open(os.path.join(bundled_runs[0].out_dir, "windows.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 470
+    below = [(r["anchor_date"], r["pipeline"]) for r in rows
+             if float(r["adcc_loglik"]) < float(r["dcc_loglik"]) - 1e-9 * abs(float(r["dcc_loglik"]))]
+    assert below == []

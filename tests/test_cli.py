@@ -1,5 +1,6 @@
 """Config handling, subcommands, stage persistence, and determinism."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from liqcov import cli, marketdata, pipeline, stats
+from liqcov import cli, marketdata, pipeline, portfolio, stats
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
 from liqcov.synthetic import write_synthetic_csv
 
@@ -473,6 +474,143 @@ class TestStageKeys:
         run_liquidity(make_config(str(clean), shared, window_days=20))
         run_liquidity(make_config(str(clean), fresh, window_days=20))
         assert_same_tree(shared, fresh)
+
+
+def solve_counter(monkeypatch, fail_on_call=None) -> list:
+    """Count solve_mv calls; the call numbered fail_on_call (from 1) raises
+    a domain error, so its day is carried forward."""
+    calls = []
+    solve = portfolio.solve_mv
+
+    def counting(problem):
+        calls.append(problem)
+        if len(calls) == fail_on_call:
+            raise ValueError("forced failure")
+        return solve(problem)
+
+    monkeypatch.setattr(portfolio, "solve_mv", counting)
+    return calls
+
+
+def assert_same_results(got, want):
+    """Every field equal: arrays with their dtype and bytes, floats by repr."""
+    assert [r.variant.id for r in got] == [r.variant.id for r in want]
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(portfolio.BacktestResult):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            elif isinstance(b, float):
+                assert type(a) is float and repr(a) == repr(b), f.name
+            else:
+                assert a == b, f.name
+
+
+class TestBacktestResume:
+    """A complete backtest stage is read back from its own files, not solved."""
+
+    @staticmethod
+    def config(data_csv, out):
+        return make_config(data_csv, out, window_days=90, refit_stride=10)
+
+    def test_resumed_stage_reads_its_files_only(self, data_csv, tmp_path, monkeypatch):
+        cfg = self.config(data_csv, tmp_path / "out")
+        fresh = run_backtest_stage(cfg)
+        before = {n: (tmp_path / "out" / n).read_bytes() for n in os.listdir(tmp_path / "out")}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a complete backtest stage recomputed its inputs")
+
+        calls = solve_counter(monkeypatch)
+        monkeypatch.setattr(pipeline, "read_posteriors_csv", forbidden)
+        monkeypatch.setattr(pipeline, "read_series_npz", forbidden)
+        resumed = run_backtest_stage(cfg)
+        assert calls == []
+        assert_same_results(resumed, fresh)
+        after = {n: (tmp_path / "out" / n).read_bytes() for n in os.listdir(tmp_path / "out")}
+        assert after == before
+
+    def test_backtest_command_prints_the_same_lines_resumed(self, data_csv, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            data_csv=data_csv, out_dir=str(tmp_path / "out"), minutes_per_day=16,
+            window_days=90, refit_stride=10)))
+        fresh = CliRunner().invoke(main, ["backtest", "-c", str(cfg_path)])
+        resumed = CliRunner().invoke(main, ["backtest", "-c", str(cfg_path)])
+        assert fresh.exit_code == 0 and resumed.exit_code == 0, fresh.output + resumed.output
+        sharpe_lines = [line for line in fresh.output.splitlines() if "SR_a = " in line]
+        assert len(sharpe_lines) == 6
+        assert [line for line in resumed.output.splitlines() if "SR_a = " in line] == sharpe_lines
+
+    def test_carried_forward_day_survives_the_resume(self, data_csv, tmp_path, monkeypatch):
+        cfg = self.config(data_csv, tmp_path / "out")
+        with monkeypatch.context() as patch:
+            solve_counter(patch, fail_on_call=3)
+            fresh = run_backtest_stage(cfg)
+        # variant 1's third trade day kept its second day's weights
+        day = fresh[0].dates[2]
+        assert fresh[0].failures == [(day, "forced failure")]
+        assert np.array_equal(fresh[0].weights[2], fresh[0].weights[1])
+        assert [r.failures for r in fresh[1:]] == [[]] * 5
+        lines = (tmp_path / "out" / "backtest_failures.csv").read_text().splitlines()
+        assert lines == ["variant,date,message", f"1,{day.isoformat()},forced failure"]
+        calls = solve_counter(monkeypatch)
+        assert_same_results(run_backtest_stage(cfg), fresh)
+        assert calls == []
+
+    def test_deleted_variant_file_is_solved_again(self, data_csv, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = self.config(data_csv, out)
+        run_backtest_stage(cfg)
+        before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+        (out / "variant_3.csv").unlink()
+        calls = solve_counter(monkeypatch)
+        run_backtest_stage(cfg)
+        assert len(calls) > 0
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before
+
+    def test_older_entry_without_failures_file_solves_once(self, data_csv, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "out"
+        cfg = self.config(data_csv, out)
+        run_backtest_stage(cfg)
+        # the entry of a tree written before the failures file existed
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["backtest"]["files"].remove("backtest_failures.csv")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "backtest_failures.csv").unlink()
+        assert not cli.stage_complete(cfg, "backtest", "backtest_failures.csv")
+
+        calls = solve_counter(monkeypatch)
+        run_backtest_stage(cfg)
+        assert len(calls) > 0
+        del calls[:]
+        run_backtest_stage(cfg)
+        assert calls == []
+        assert "backtest_failures.csv" in json.loads(
+            (out / "manifest.json").read_text())["stages"]["backtest"]["files"]
+
+    def test_failed_forecast_anchor_on_disk(self, data_csv, tmp_path, monkeypatch):
+        cfg = make_config(data_csv, tmp_path / "out")     # anchors 69, 77, ..., 101
+        run_anchor = pipeline._run_anchor
+        failed = []
+
+        def failing(series, t, *args):
+            if t == 77:
+                failed.append(series.dates[t])
+                raise ValueError("forced anchor failure")
+            return run_anchor(series, t, *args)
+
+        monkeypatch.setattr(pipeline, "_run_anchor", failing)
+        cli.run_forecast(cfg)
+        lines = (tmp_path / "out" / "forecast_failures.csv").read_text().splitlines()
+        assert lines == ["date,message", f"{failed[0].isoformat()},forced anchor failure"]
+        entry = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]["forecast"]
+        assert "forecast_failures.csv" in entry["files"]
+
+    def test_no_failure_writes_the_headers_alone(self, complete_tree):
+        assert (complete_tree / "forecast_failures.csv").read_text() == "date,message\n"
+        assert (complete_tree / "backtest_failures.csv").read_text() == "variant,date,message\n"
 
 
 class TestDeterminism:

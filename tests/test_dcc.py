@@ -169,6 +169,63 @@ class TestDccFit:
         assert nll_fit <= nll_const + 1e-9
 
 
+class TestNesting:
+    """ADCC with g = 0 is DCC, so an ADCC fit never ends below the DCC fit
+    it is given."""
+
+    @staticmethod
+    def fits():
+        rng = np.random.default_rng(4)
+        e = simulate_dcc(rng, 800, 0.04, 0.9, np.array([[1.0, 0.3], [0.3, 1.0]]))
+        garch = dcc.fit_garch_stage(e)
+        return e, garch, dcc.fit_dcc(e, "dcc", garch=garch)
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        solves = []
+        minimize = dcc._minimize_fd
+
+        def counting(fun, x0, bounds):
+            solves.append(x0)
+            return minimize(fun, x0, bounds)
+
+        monkeypatch.setattr(dcc, "_minimize_fd", counting)
+        return solves
+
+    def test_adcc_below_dcc_is_solved_from_the_dcc_optimum(self, monkeypatch):
+        e, garch, dcc_fit = self.fits()
+        # an ADCC search that ends on the no-dynamics corner
+        monkeypatch.setattr(dcc, "_fit_box", lambda fun, starts, bounds: np.zeros(len(bounds)))
+        stuck = dcc.fit_dcc(e, "adcc", garch=garch)
+        assert stuck.loglik < dcc_fit.loglik - 1.0
+        solves = self.count_solves(monkeypatch)
+        nested = dcc.fit_dcc(e, "adcc", garch=garch, nested=dcc_fit)
+        assert len(solves) == 1
+        params = dcc._corr_from_x(solves[0])[0]
+        np.testing.assert_allclose(params, (dcc_fit.a, dcc_fit.b, 0.0), rtol=1e-12, atol=1e-15)
+        assert nested.loglik >= dcc_fit.loglik
+        assert not nested.fallback
+
+    def test_no_extra_solve_when_adcc_is_not_below(self, monkeypatch):
+        e, garch, dcc_fit = self.fits()
+        solves = self.count_solves(monkeypatch)
+        alone = dcc.fit_dcc(e, "adcc", garch=garch)
+        n_alone = len(solves)
+        nested = dcc.fit_dcc(e, "adcc", garch=garch, nested=dcc_fit)
+        assert alone.loglik >= dcc_fit.loglik
+        assert len(solves) == 2 * n_alone
+        assert (nested.a, nested.b, nested.g, nested.loglik) == (
+            alone.a, alone.b, alone.g, alone.loglik)
+
+    def test_nested_must_be_a_dcc_fit_of_the_same_garch_stage(self):
+        e, garch, dcc_fit = self.fits()
+        with pytest.raises(ValueError, match="nests"):
+            dcc.fit_dcc(e, "dcc", garch=garch, nested=dcc_fit)
+        other = tuple(dataclasses.replace(p, alpha=p.alpha * 0.5) for p in garch)
+        with pytest.raises(ValueError, match="GARCH stage"):
+            dcc.fit_dcc(e, "adcc", garch=other, nested=dcc_fit)
+
+
 class TestBoxCoordinates:
     @pytest.mark.parametrize("size", [2, 3])
     def test_jacobian_matches_central_differences(self, size):

@@ -1,5 +1,6 @@
 """Mean-variance QP, risk aversion, Sharpe, and the rolling backtest."""
 
+import dataclasses
 import datetime as dt
 import math
 
@@ -260,3 +261,20 @@ def test_variant_table_complete():
     assert set(VARIANTS) == {1, 2, 3, 4, 5, 6}
     for vid, var in VARIANTS.items():
         assert var.is_liquidity_adjusted == (vid % 2 == 0)
+
+
+def test_failure_messages_survive_csv_quoting(tmp_path):
+    rng = np.random.default_rng(44)
+    n, dim, window = 40, 3, 15
+    q = rng.normal(0.0005, 0.01, (n, dim))
+    sigma_tt = np.tile(np.eye(dim) * 1e-4, (n, 1, 1))
+    dates = make_dates(n)
+    # two forecasts missing: variant 5 carries those days forward
+    posterior = {d: np.eye(dim) * 2e-4 for d in dates[window + 2:]}
+    res = run_backtest(dates, q, q, sigma_tt, sigma_tt, [5], window, 365,
+                       posterior_regular=posterior)[0]
+    assert len(res.failures) == 2
+    odd = [(date, f'day {k}, "quoted",\nsecond line') for k, (date, _) in enumerate(res.failures)]
+    path = tmp_path / "failures.csv"
+    portfolio.write_failures_csv(path, [dataclasses.replace(res, failures=odd)])
+    assert portfolio.read_failures_csv(path) == {5: odd}

@@ -154,25 +154,13 @@ def _read_entries(out_dir: str) -> dict:
     return {stage: entry for stage, entry in stages.items() if isinstance(entry, dict)}
 
 
-def _write_replacing(path: str, write) -> None:
-    """Call write on a temporary file next to path, then move it onto path,
-    so that path is never seen half-written."""
-    tmp = path + ".tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_entries(out_dir: str, entries: dict) -> None:
     def write(path):
         with open(path, "w") as fh:
             json.dump({"stages": entries}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    _write_replacing(_manifest_path(out_dir), write)
+    stats.write_replacing(_manifest_path(out_dir), write)
 
 
 def stage_complete(cfg: RunConfig, stage: str, *required: str) -> bool:
@@ -293,7 +281,7 @@ def run_liquidity(cfg: RunConfig) -> pipeline.PortfolioSeries:
         )
         files += [f"hist_{tag}.csv", f"hist_{tag}.svg"]
 
-    _write_replacing(series_path, lambda path: pipeline.write_series_npz(path, series))
+    stats.write_replacing(series_path, lambda path: pipeline.write_series_npz(path, series))
     mark_stage(cfg, "liquidity", files)
     return series
 
@@ -523,8 +511,11 @@ def cmd_condsvd_debug(matrix_a, matrix_b, floor):
 @click.option("--seed", type=int, default=7)
 def cmd_synth(out_path, assets, days, minutes, seed):
     """Write the bundled synthetic minute-bar dataset."""
-    write_synthetic_csv(out_path, n_assets=assets, n_days=days,
-                        minutes_per_day=minutes, seed=seed)
+    try:
+        write_synthetic_csv(out_path, n_assets=assets, n_days=days,
+                            minutes_per_day=minutes, seed=seed)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {out_path}")
 
 

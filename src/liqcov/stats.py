@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -217,6 +218,18 @@ def _csv_cell(value):
     if isinstance(value, dt.date):
         return value.isoformat()
     return value
+
+
+def write_replacing(path, write) -> None:
+    """Call write on a temporary file next to path, then move it onto path,
+    so that path is never seen half-written."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_csv_table(path, headers: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -9,29 +9,44 @@ moving prices, which is exactly the kind of day the jump/diffusion measures
 are built to flag.
 
 Everything is generated from one seed; identical seeds give byte-identical
-CSV output.
+CSV output (pinned by sha256 in ``tests/test_synthetic.py``).
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 
 import numpy as np
 
+from .stats import write_replacing
+
 BASE_DATE = dt.date(2020, 1, 1)
 
 
-def synthetic_minute_rows(
+def write_synthetic_csv(
+    path,
     n_assets: int = 8,
     n_days: int = 600,
     minutes_per_day: int = 48,
     seed: int = 7,
-):
-    """Yield (timestamp_iso, symbol, close, dollar_volume) rows, sorted by
-    symbol then time."""
+) -> None:
+    """Write the dataset's (timestamp, symbol, close, dollar_volume) rows,
+    sorted by symbol then time, each day's minutes starting at 00:00 UTC.
+
+    The file is written next to path and moved onto it when complete, so an
+    interrupted write leaves path as it was.  Raises ValueError, before
+    writing anything, unless n_assets >= 1, n_days >= 1 and
+    2 <= minutes_per_day <= 1440: a day of more minutes would run into the
+    next day, and ingest needs at least two minutes for a return.
+    """
+    if n_assets < 1:
+        raise ValueError(f"n_assets must be >= 1, got {n_assets}")
+    if n_days < 1:
+        raise ValueError(f"n_days must be >= 1, got {n_days}")
+    if not 2 <= minutes_per_day <= 1440:
+        raise ValueError(f"minutes_per_day must be in [2, 1440], got {minutes_per_day}")
+
     rng = np.random.default_rng(seed)
-    symbols = [f"A{i:02d}" for i in range(n_assets)]
     base_price = 10.0 * np.exp(rng.uniform(0.0, 3.0, n_assets))
     base_volume = 1e6 * np.exp(rng.uniform(-1.0, 1.0, n_assets))
 
@@ -43,9 +58,13 @@ def synthetic_minute_rows(
     spike_prob = {0: 0.10, 1: 0.85}
     regime = 0
 
-    closes = np.empty((n_days, minutes_per_day, n_assets))
-    volumes = np.empty((n_days, minutes_per_day, n_assets))
-    price = base_price.copy()
+    # row 0 holds the base prices and row 1 + d*T + m the gross return of
+    # minute m of day d, so the running product down the rows is the close;
+    # cumprod multiplies in time order, as a per-minute loop did, so the
+    # closes (and the file) are bitwise the same
+    growth = np.empty((n_days * minutes_per_day + 1, n_assets))
+    growth[0] = base_price
+    volumes = np.empty((n_days * minutes_per_day, n_assets))
     for d in range(n_days):
         if rng.random() < 0.03:
             regime = 1 - regime
@@ -67,34 +86,26 @@ def synthetic_minute_rows(
             boost = np.exp(rng.uniform(3.0, 4.5))
             vol[np.ix_(spike_minutes, np.where(spike_assets)[0])] *= boost
 
-        for m in range(minutes_per_day):
-            price = price * (1.0 + rets[m])
-            closes[d, m] = price
-        volumes[d] = vol
+        rows = slice(d * minutes_per_day, (d + 1) * minutes_per_day)
+        growth[1:][rows] = 1.0 + rets
+        volumes[rows] = vol
+    closes = np.cumprod(growth, axis=0, out=growth)[1:]
 
-    for i, symbol in enumerate(symbols):
-        for d in range(n_days):
-            day = BASE_DATE + dt.timedelta(days=d)
-            for m in range(minutes_per_day):
-                ts = dt.datetime.combine(day, dt.time(0, 0), tzinfo=dt.timezone.utc)
-                ts += dt.timedelta(minutes=m)
-                yield (
-                    ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    symbol,
-                    repr(float(closes[d, m, i])),
-                    repr(float(volumes[d, m, i])),
+    clock = [f"T{m // 60:02d}:{m % 60:02d}:00Z" for m in range(minutes_per_day)]
+    stamps = [
+        day + hhmm
+        for day in (str(BASE_DATE + dt.timedelta(days=d)) for d in range(n_days))
+        for hhmm in clock
+    ]
+
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            fh.write("timestamp,symbol,close,dollar_volume\n")
+            for i in range(n_assets):
+                sym = f"A{i:02d}"
+                fh.writelines(
+                    f"{ts},{sym},{c!r},{v!r}\n"
+                    for ts, c, v in zip(stamps, closes[:, i].tolist(), volumes[:, i].tolist())
                 )
 
-
-def write_synthetic_csv(
-    path,
-    n_assets: int = 8,
-    n_days: int = 600,
-    minutes_per_day: int = 48,
-    seed: int = 7,
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "symbol", "close", "dollar_volume"])
-        for row in synthetic_minute_rows(n_assets, n_days, minutes_per_day, seed):
-            writer.writerow(list(row))
+    write_replacing(path, write)

@@ -33,10 +33,14 @@ class SingularMatrixError(ValueError):
 
     def __init__(self, name: str, detail: str = ""):
         self.name = name
+        self.detail = detail
         msg = f"matrix '{name}' is singular beyond the regularization floor"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        return type(self), (self.name, self.detail)
 
 
 def default_floor(m: np.ndarray) -> float:

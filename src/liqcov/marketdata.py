@@ -36,7 +36,11 @@ class CsvParseError(ValueError):
 
     def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
+        self.detail = detail
         super().__init__(f"line {line_no}: {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.detail)
 
 
 class DomainError(ValueError):

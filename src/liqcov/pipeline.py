@@ -10,7 +10,8 @@ prior and once on liquidity-adjusted returns with the adjusted prior.
 
 With a refit stride the coefficients stay fixed between anchors while the
 recursion states absorb each newly observed residual, so a forecast still
-comes out every day.
+comes out every day.  Each anchor's fit depends on no other anchor, so the
+anchors are fitted in one forked worker process per usable CPU.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ import csv
 import dataclasses
 import datetime as dt
 import logging
+import multiprocessing
+import os
 import zipfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -294,8 +299,10 @@ def run_forecasts(
     sides aligned) and is logged on the result.  Only domain errors
     (ValueError and its subclasses: too-short windows, singular matrices,
     degenerate days, LinAlgError) fail an anchor; any other exception is a
-    bug and propagates.  The anchors run in date order with BLAS on one
-    thread.
+    bug and propagates.  The anchors are fitted with BLAS on one thread,
+    in worker processes where more than one CPU is usable (see
+    _fit_anchors), and collected in date order; the result is the same
+    for any number of workers.
 
     Hard limits are checked before the first fit: no more assets than the
     trace test has critical values for, a window of at least 10 days per
@@ -318,18 +325,70 @@ def run_forecasts(
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
+    anchors = range(window_days - 1, n - 1, stride)
     out = ForecastSet()
     with single_blas_thread():
-        for t in range(window_days - 1, n - 1, stride):
-            try:
-                records, windows = _run_anchor(series, t, window_days, stride, tau)
-            except ValueError as exc:
-                logger.warning("forecast anchor %s failed: %s", series.dates[t], exc)
-                out.failures.append((series.dates[t], str(exc)))
-                continue
-            out.records.extend(records)
-            out.windows.extend(windows)
+        results = _fit_anchors(series, anchors, window_days, stride, tau)
+    for t, result in zip(anchors, results):
+        if isinstance(result, str):
+            logger.warning("forecast anchor %s failed: %s", series.dates[t], result)
+            out.failures.append((series.dates[t], result))
+            continue
+        records, windows = result
+        out.records.extend(records)
+        out.windows.extend(windows)
     return out
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_anchor(series, window_days, stride, tau, t):
+    """_run_anchor at t, or the message of the domain error that failed it.
+
+    A message survives the trip back from a worker whether or not its
+    exception would pickle.
+    """
+    try:
+        return _run_anchor(series, t, window_days, stride, tau)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Set in each worker process by the pool initializer, never in the caller.
+_worker_series: PortfolioSeries | None = None
+
+
+def _set_worker_series(series: PortfolioSeries) -> None:
+    global _worker_series
+    _worker_series = series
+
+
+def _fit_worker_anchor(window_days, stride, tau, t):
+    return _fit_anchor(_worker_series, window_days, stride, tau, t)
+
+
+def _fit_anchors(series, anchors, window_days, stride, tau) -> list:
+    """_fit_anchor's result for every anchor, in anchor order.
+
+    With more than one usable CPU the anchors are shared among
+    min(CPUs, anchors) forked workers, which inherit the series (set once by
+    the pool initializer), the caller's BLAS pin and any patched module
+    attribute.  Otherwise they run in this process.  Every worker has exited
+    when this returns or raises.
+    """
+    workers = min(_usable_cpus(), len(anchors))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(partial(_fit_anchor, series, window_days, stride, tau), anchors))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_series, initargs=(series,))
+    try:
+        return list(pool.map(partial(_fit_worker_anchor, window_days, stride, tau), anchors))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

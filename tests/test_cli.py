@@ -592,6 +592,8 @@ class TestBacktestResume:
 
     def test_failed_forecast_anchor_on_disk(self, data_csv, tmp_path, monkeypatch):
         cfg = make_config(data_csv, tmp_path / "out")     # anchors 69, 77, ..., 101
+        # `failed` below only sees anchors fitted in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         run_anchor = pipeline._run_anchor
         failed = []
 

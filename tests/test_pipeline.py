@@ -1,12 +1,16 @@
 """Rolling forecast engine: coverage, stride, determinism, alignment."""
 
 import contextlib
+import dataclasses
 import datetime as dt
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from liqcov import dcc, pipeline, vecm
+from liqcov.linalg import SingularMatrixError
 from liqcov.marketdata import CalendarSpec, ingest_minute_csv
 from liqcov.pipeline import (
     assemble_series,
@@ -151,7 +155,13 @@ def test_lag_leaves_the_variance_fits_enough_residuals(series):
     assert all(51 - w.lag >= dcc.GARCH_MIN_OBS for w in fset.windows)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make run_forecasts see the given set of usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
 def test_garch_stage_fitted_once_per_window(series, monkeypatch):
+    use_cpus(monkeypatch, {0})      # the counter below only sees this process
     calls = []
     fit_garch11 = dcc.fit_garch11
 
@@ -187,8 +197,57 @@ def test_programming_errors_propagate(series, monkeypatch, stride):
         raise TypeError("refactor bug")
 
     monkeypatch.setattr(vecm, "fit_vecm", broken)
+    for cpus in ({0}, {0, 1}):      # in this process, then in worker processes
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(TypeError, match="refactor bug"):
+            run_forecasts(series, window_days=100, stride=stride)
+
+
+def bits(record):
+    """A record's fields, with every float and array as its bytes."""
+    return tuple(np.asarray(v).tobytes() if isinstance(v, (float, np.ndarray)) else v
+                 for v in dataclasses.astuple(record))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_worker_processes_match_the_in_process_run(series, monkeypatch, stride):
+    run_anchor = pipeline._run_anchor
+    parent_calls = []
+
+    def singular_at_103(series, t, *args):
+        parent_calls.append(t)      # a worker appends to its own copy
+        if t == 103:
+            raise SingularMatrixError("Sigma", "forced")
+        return run_anchor(series, t, *args)
+
+    monkeypatch.setattr(pipeline, "_run_anchor", singular_at_103)
+    use_cpus(monkeypatch, {0})
+    serial = run_forecasts(series, window_days=100, stride=stride)
+    assert parent_calls == list(range(99, 119, stride))
+    use_cpus(monkeypatch, {0, 1})
+    pooled = run_forecasts(series, window_days=100, stride=stride)
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert len(parent_calls) == len(range(99, 119, stride))
+
+    message = "matrix 'Sigma' is singular beyond the regularization floor: forced"
+    assert serial.failures == pooled.failures == [(series.dates[103], message)]
+    assert len(serial.records) > 0
+    assert [bits(r) for r in serial.records] == [bits(r) for r in pooled.records]
+    assert [bits(w) for w in serial.windows] == [bits(w) for w in pooled.windows]
+
+
+def test_no_worker_outlives_a_run(series, monkeypatch):
+    use_cpus(monkeypatch, {0, 1})
+    assert run_forecasts(series, window_days=100, stride=5).records
+    assert multiprocessing.active_children() == []
+
+    def broken(*args, **kwargs):
+        raise TypeError("refactor bug")
+
+    monkeypatch.setattr(vecm, "fit_vecm", broken)
     with pytest.raises(TypeError, match="refactor bug"):
-        run_forecasts(series, window_days=100, stride=stride)
+        run_forecasts(series, window_days=100, stride=5)
+    assert multiprocessing.active_children() == []
 
 
 def test_domain_errors_drop_anchors(series, monkeypatch):

@@ -19,6 +19,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass
 
 import click
@@ -26,13 +27,7 @@ import numpy as np
 
 from . import pipeline, portfolio, stats
 from .condsvd import conditional_svd
-from .marketdata import (
-    AssetClass,
-    CalendarSpec,
-    CsvParseError,
-    ingest_minute_csv,
-    ingest_tick_csv,
-)
+from .marketdata import CalendarSpec, CsvParseError, ingest_minute_csv, ingest_tick_csv
 from .synthetic import write_synthetic_csv
 
 logger = logging.getLogger(__name__)
@@ -67,6 +62,18 @@ def _digest(*parts) -> str:
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
+# trading days per year, by asset class: the annualization of Sharpe ratios
+_PERIODS_PER_YEAR = {"crypto": 365, "equity": 252}
+
+
+def _time_of_day(text) -> dt.time:
+    """An HH:MM time within one day."""
+    match = re.fullmatch(r"([0-9]{2}):([0-9]{2})", str(text))
+    if match is None or int(match[1]) > 23 or int(match[2]) > 59:
+        raise ValueError(f"day_boundary must be an HH:MM time within one day, got {text!r}")
+    return dt.time(int(match[1]), int(match[2]))
+
+
 @dataclass
 class RunConfig:
     data_csv: str
@@ -90,18 +97,18 @@ class RunConfig:
         bad = set(self.variants) - set(range(1, 7))
         if bad:
             raise ValueError(f"unknown variants: {sorted(bad)}")
-        if self.asset_class not in ("crypto", "equity"):
+        if self.asset_class not in _PERIODS_PER_YEAR:
             raise ValueError("asset_class must be 'crypto' or 'equity'")
         if self.data_kind not in ("minute", "tick"):
             raise ValueError("data_kind must be 'minute' or 'tick'")
+        # a longer session would run into the next day's
+        if not 2 <= self.minutes_per_day <= 1440:
+            raise ValueError(f"minutes_per_day must be in [2, 1440], got {self.minutes_per_day}")
+        _time_of_day(self.day_boundary)
 
     def calendar(self) -> CalendarSpec:
-        hour, minute = (int(x) for x in self.day_boundary.split(":"))
-        return CalendarSpec(
-            minutes_per_day=self.minutes_per_day,
-            day_boundary=dt.time(hour, minute),
-            asset_class=AssetClass(self.asset_class),
-        )
+        return CalendarSpec(minutes_per_day=self.minutes_per_day,
+                            day_boundary=_time_of_day(self.day_boundary))
 
     def stage_keys(self) -> dict[str, str]:
         """Each resumable stage's key: a digest of exactly the inputs its
@@ -144,14 +151,24 @@ def _manifest_path(out_dir: str) -> str:
 
 
 def _read_entries(out_dir: str) -> dict:
-    """The manifest's stage entries.  A manifest that is missing, unreadable
-    or in the older whole-config-hash format has none."""
+    """The manifest's well-formed stage entries.  A manifest that is missing,
+    unreadable or in the older whole-config-hash format has none, and an
+    entry without a str key and a list of plain file names counts as absent:
+    begin_stage deletes the files an entry lists, so a name must not reach
+    outside the output directory."""
     try:
         with open(_manifest_path(out_dir)) as fh:
-            stages = json.load(fh).get("stages", {})
+            manifest = json.load(fh)
     except (OSError, ValueError):
         return {}
-    return {stage: entry for stage, entry in stages.items() if isinstance(entry, dict)}
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict):
+        return {}
+    return {stage: entry for stage, entry in stages.items()
+            if isinstance(entry, dict) and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("files"), list)
+            and all(isinstance(name, str) and name not in ("", ".", "..")
+                    and os.path.basename(name) == name for name in entry["files"])}
 
 
 def _write_entries(out_dir: str, entries: dict) -> None:
@@ -294,12 +311,12 @@ def run_forecast(cfg: RunConfig) -> pipeline.ForecastSet | None:
     """
     if stage_complete(cfg, "forecast"):
         return None
-    fset = pipeline.run_forecasts(
-        run_liquidity(cfg),
-        window_days=cfg.window_days,
-        tau=cfg.tau,
-        stride=cfg.refit_stride,
-    )
+    series = run_liquidity(cfg)
+    try:
+        fset = pipeline.run_forecasts(series, window_days=cfg.window_days, tau=cfg.tau,
+                                      stride=cfg.refit_stride)
+    except ValueError as exc:       # a hard limit, checked before the first fit
+        raise click.ClickException(str(exc)) from exc
     if not fset.records:
         raise click.ClickException("forecast stage produced no records; check window_days")
 
@@ -350,7 +367,7 @@ def _write_table3(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
 def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
     """The backtest results of cfg's variants: read back from the stage's
     own files when the stage is complete, else solved and written."""
-    periods_per_year = cfg.calendar().periods_per_year()
+    periods_per_year = _PERIODS_PER_YEAR[cfg.asset_class]
     names = {vid: f"variant_{vid}.csv" for vid in sorted(set(cfg.variants))}
     failures_path = os.path.join(cfg.out_dir, "backtest_failures.csv")
     if stage_complete(cfg, "backtest", "backtest_failures.csv"):
@@ -368,12 +385,15 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
         posterior_adjusted = pipeline.read_posteriors_csv(
             os.path.join(cfg.out_dir, "posteriors_adjusted.csv"))
 
-    results = portfolio.run_backtest(
-        series.dates, series.q, series.q_adj, series.sigma_tt, series.sigma_tt_adj,
-        cfg.variants, cfg.window_days, periods_per_year,
-        posterior_regular=posterior_regular,
-        posterior_adjusted=posterior_adjusted,
-    )
+    try:
+        results = portfolio.run_backtest(
+            series.dates, series.q, series.q_adj, series.sigma_tt, series.sigma_tt_adj,
+            cfg.variants, cfg.window_days, periods_per_year,
+            posterior_regular=posterior_regular,
+            posterior_adjusted=posterior_adjusted,
+        )
+    except ValueError as exc:       # the window check; a failing day is carried forward
+        raise click.ClickException(str(exc)) from exc
 
     begin_stage(cfg, "backtest")
     for res in results:
@@ -426,11 +446,11 @@ def _common_options(fn):
 
 
 def _build_config(config_path, **overrides) -> RunConfig:
-    if overrides.get("variants") is not None:
-        overrides["variants"] = tuple(
-            int(v) for v in str(overrides["variants"]).split(",") if v
-        )
     try:
+        if overrides.get("variants") is not None:
+            overrides["variants"] = tuple(
+                int(v) for v in str(overrides["variants"]).split(",") if v
+            )
         if config_path:
             return RunConfig.from_file(config_path, **overrides)
         clean = {k: v for k, v in overrides.items() if v is not None}

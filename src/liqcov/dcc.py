@@ -108,12 +108,14 @@ class Garch11Params:
 
 @dataclass(frozen=True)
 class DccFit:
-    """Fitted correlation dynamics plus the terminal recursion states.
+    """Fitted correlation dynamics plus the one-step-ahead recursion state.
 
     kind is "dcc" or "adcc" (g is zero for plain dcc).  obar/nbar are the
     unconditional second-moment targets of the standardized residuals and
     of their negative parts.  loglik is the full Gaussian log-likelihood of
     the residuals under the fitted variance and correlation paths.
+    h2_next and o_next are the variances and the raw correlation estimator
+    Q of the day after the last residual seen.
     """
 
     kind: str
@@ -124,17 +126,9 @@ class DccFit:
     nbar: np.ndarray
     loglik: float
     garch: tuple[Garch11Params, ...]
-    last_e: np.ndarray
-    last_h2: np.ndarray
-    last_xi: np.ndarray
-    last_neg: np.ndarray
-    last_o: np.ndarray
-    n_obs: int
+    h2_next: np.ndarray
+    o_next: np.ndarray
     fallback: bool = False
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.garch)
 
 
 def _garch_from_x(x: np.ndarray, var_scale: float) -> tuple[float, float, float]:
@@ -312,23 +306,11 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         if nested_loglik > loglik:
             (a, b, g), loglik, q_last, fallback = params, nested_loglik, nested_q, False
 
-    return DccFit(
-        kind=kind,
-        a=float(a),
-        b=float(b),
-        g=float(g),
-        obar=obar,
-        nbar=nbar,
-        loglik=loglik,
-        garch=garch,
-        last_e=e[-1].copy(),
-        last_h2=h2[-1].copy(),
-        last_xi=xi[-1].copy(),
-        last_neg=neg[-1].copy(),
-        last_o=np.asarray(q_last, dtype=np.float64).copy(),
-        n_obs=n,
-        fallback=fallback,
-    )
+    # the state of the last residual's own day, stepped over that residual
+    last_day = DccFit(kind=kind, a=float(a), b=float(b), g=float(g), obar=obar, nbar=nbar,
+                      loglik=loglik, garch=garch, h2_next=h2[-1], o_next=q_last,
+                      fallback=fallback)
+    return advance(last_day, e[-1])
 
 
 def select_best(dcc_fit: DccFit, adcc_fit: DccFit) -> DccFit:
@@ -337,18 +319,21 @@ def select_best(dcc_fit: DccFit, adcc_fit: DccFit) -> DccFit:
     return adcc_fit if adcc_fit.loglik > dcc_fit.loglik else dcc_fit
 
 
-def _next_state(fit: DccFit) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead variance vector and raw correlation estimator."""
+def _step(fit: DccFit, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The variances and Q of the day after residual e, whose own day's
+    variances and Q are fit's h2_next and o_next."""
+    xi = e / np.sqrt(fit.h2_next)
+    neg = np.where(xi < 0.0, xi, 0.0)
     omega = np.array([p.omega for p in fit.garch])
     alpha = np.array([p.alpha for p in fit.garch])
     beta = np.array([p.beta for p in fit.garch])
-    h2_next = omega + alpha * fit.last_e**2 + beta * fit.last_h2
+    h2_next = omega + alpha * e**2 + beta * fit.h2_next
     o_next = (
         (1.0 - fit.a - fit.b) * fit.obar
         - fit.g * fit.nbar
-        + fit.a * np.outer(fit.last_xi, fit.last_xi)
-        + fit.b * fit.last_o
-        + fit.g * np.outer(fit.last_neg, fit.last_neg)
+        + fit.a * np.outer(xi, xi)
+        + fit.b * fit.o_next
+        + fit.g * np.outer(neg, neg)
     )
     return h2_next, o_next
 
@@ -360,7 +345,7 @@ def forecast_covariance(fit: DccFit) -> np.ndarray:
     rescaled correlation recursion.  A (rare) indefinite assembly is clipped
     to the PSD cone with a logged warning.
     """
-    h2_next, o_next = _next_state(fit)
+    o_next = fit.o_next
     diag = np.diag(o_next)
     if np.any(diag <= 0.0):
         logger.warning("correlation estimator lost positive diagonal; clipping")
@@ -368,7 +353,7 @@ def forecast_covariance(fit: DccFit) -> np.ndarray:
         diag = np.diag(o_next)
     scale = 1.0 / np.sqrt(diag)
     p_next = symmetrize(o_next * np.outer(scale, scale))
-    vol = np.sqrt(h2_next)
+    vol = np.sqrt(fit.h2_next)
     omega_hat = symmetrize(p_next * np.outer(vol, vol))
     lam_min = min_eigenvalue(omega_hat)
     if lam_min < -1e-10 * max(1.0, float(np.max(np.abs(omega_hat)))):
@@ -378,25 +363,14 @@ def forecast_covariance(fit: DccFit) -> np.ndarray:
 
 
 def advance(fit: DccFit, e_new) -> DccFit:
-    """Roll the recursion states one day forward with a new residual.
+    """Roll the recursion state one day forward with a new residual.
 
     Used between refits when the rolling backtest runs with a stride: the
-    coefficients stay fixed while the variance/correlation states absorb
+    coefficients stay fixed while the variance/correlation state absorbs
     the newly observed residual.
     """
-    e_new = np.asarray(e_new, dtype=np.float64).ravel()
-    h2_next, o_next = _next_state(fit)
-    xi_new = e_new / np.sqrt(h2_next)
-    neg_new = np.where(xi_new < 0.0, xi_new, 0.0)
-    return dataclasses.replace(
-        fit,
-        last_e=e_new,
-        last_h2=h2_next,
-        last_xi=xi_new,
-        last_neg=neg_new,
-        last_o=o_next,
-        n_obs=fit.n_obs + 1,
-    )
+    h2_next, o_next = _step(fit, np.asarray(e_new, dtype=np.float64).ravel())
+    return dataclasses.replace(fit, h2_next=h2_next, o_next=o_next)
 
 
 def scale_covariance_by_jump(omega_hat: np.ndarray, jump_mat: np.ndarray) -> np.ndarray:

@@ -18,17 +18,11 @@ import io
 import math
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 MAX_MISSING_FRACTION = 0.20
-
-
-class AssetClass(str, Enum):
-    CRYPTO = "crypto"
-    EQUITY = "equity"
 
 
 class CsvParseError(ValueError):
@@ -53,7 +47,6 @@ class CalendarSpec:
 
     minutes_per_day: int = 1440
     day_boundary: dt.time = dt.time(0, 0)
-    asset_class: AssetClass = AssetClass.CRYPTO
 
     def __post_init__(self):
         if self.minutes_per_day < 2:
@@ -61,15 +54,12 @@ class CalendarSpec:
 
     @classmethod
     def crypto(cls, minutes_per_day: int = 1440) -> "CalendarSpec":
-        return cls(minutes_per_day, dt.time(0, 0), AssetClass.CRYPTO)
+        return cls(minutes_per_day, dt.time(0, 0))
 
     @classmethod
     def equity(cls, minutes_per_day: int = 390) -> "CalendarSpec":
         # 13:30 UTC = 09:30 New York standard market open
-        return cls(minutes_per_day, dt.time(13, 30), AssetClass.EQUITY)
-
-    def periods_per_year(self) -> int:
-        return 365 if self.asset_class is AssetClass.CRYPTO else 252
+        return cls(minutes_per_day, dt.time(13, 30))
 
     def session_start(self, day: dt.date) -> dt.datetime:
         return dt.datetime.combine(day, self.day_boundary, tzinfo=dt.timezone.utc)

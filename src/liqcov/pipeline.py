@@ -215,22 +215,20 @@ def _run_anchor(
     tau: float,
 ) -> tuple[list[ForecastRecord], list[WindowRecord]]:
     """Fit at anchor t and forecast days t+1 .. t+stride (clipped)."""
-    records: list[ForecastRecord] = []
-    windows: list[WindowRecord] = []
     lo = t - window_days + 1
     last_day = min(t + stride - 1, series.n_days - 2)
 
-    per_pipeline = {}
+    sides = []
+    windows: list[WindowRecord] = []
     for pipeline in PIPELINES:
-        q_src = series.q if pipeline == "regular" else series.q_adj
+        q_src, priors = ((series.q, series.sigma_tt) if pipeline == "regular"
+                         else (series.q_adj, series.sigma_tt_adj))
         fit, dcc_fit, adcc_fit = _fit_window_pipeline(q_src[lo:t + 1])
         best_kind = dcc_mod.select_best(dcc_fit, adcc_fit).kind
-        per_pipeline[pipeline] = (q_src, fit, {"dcc": dcc_fit, "adcc": adcc_fit}, best_kind)
+        sides.append((pipeline, q_src, priors, fit, {"dcc": dcc_fit, "adcc": adcc_fit}, best_kind))
         windows.append(WindowRecord(
-            anchor_date=series.dates[t],
-            pipeline=pipeline,
-            lag=fit.p,
-            rank=fit.coint_rank,
+            anchor_date=series.dates[t], pipeline=pipeline,
+            lag=fit.p, rank=fit.coint_rank,
             aic=fit.aic,
             vecm_loglik=fit.loglik,
             ridge=fit.ridge_applied,
@@ -241,49 +239,39 @@ def _run_anchor(
             best_kind=best_kind,
         ))
 
+    records: list[ForecastRecord] = []
     for d in range(t, last_day + 1):
-        if d > t:
-            for pipeline in PIPELINES:
-                q_src, fit, states, _ = per_pipeline[pipeline]
+        regular_omegas = {}
+        for pipeline, q_src, priors, fit, states, best_kind in sides:
+            if d > t:
                 resid = vecm_mod.fitted_residual(fit, q_src[d - fit.p:d], q_src[d])
-                for kind in ("dcc", "adcc"):
+                for kind in states:
                     states[kind] = dcc_mod.advance(states[kind], resid)
-        day_omegas = {}
-        for pipeline in PIPELINES:
-            q_src, fit, states, best_kind = per_pipeline[pipeline]
-            prior = series.sigma_tt[d] if pipeline == "regular" else series.sigma_tt_adj[d]
+            prior = priors[d]
+            det_prior = float(np.linalg.det(prior))
             day_records = {}
-            for kind in ("dcc", "adcc"):
-                state = states[kind]
+            for kind, state in states.items():
                 omega_hat = dcc_mod.forecast_covariance(state)
                 sigma_post = posterior_covariance(prior, omega_hat, tau)
                 if pipeline == "adjusted":
-                    scaled = dcc_mod.scale_covariance_by_jump(
-                        day_omegas[("regular", kind)], series.jump[d]
-                    )
+                    scaled = dcc_mod.scale_covariance_by_jump(regular_omegas[kind], series.jump[d])
                     det_scaled = float(np.linalg.det(scaled))
                 else:
+                    regular_omegas[kind] = omega_hat
                     det_scaled = float("nan")
-                day_omegas[(pipeline, kind)] = omega_hat
                 day_records[kind] = ForecastRecord(
-                    date=series.dates[d + 1],
-                    pipeline=pipeline,
-                    kind=kind,
-                    omega_hat=omega_hat,
-                    sigma_post=sigma_post,
-                    det_prior=float(np.linalg.det(prior)),
+                    date=series.dates[d + 1], pipeline=pipeline, kind=kind,
+                    omega_hat=omega_hat, sigma_post=sigma_post,
+                    det_prior=det_prior,
                     det_omega=float(np.linalg.det(omega_hat)),
                     det_post=float(np.linalg.det(sigma_post)),
                     det_omega_scaled=det_scaled,
                     a=state.a, b=state.b, g=state.g,
-                    loglik=state.loglik,
-                    fallback=state.fallback,
-                    lag=fit.p,
-                    rank=fit.coint_rank,
+                    loglik=state.loglik, fallback=state.fallback,
+                    lag=fit.p, rank=fit.coint_rank,
                 )
-            chosen = day_records[best_kind]
             records.extend(day_records.values())
-            records.append(dataclasses.replace(chosen, kind="best"))
+            records.append(dataclasses.replace(day_records[best_kind], kind="best"))
     return records, windows
 
 

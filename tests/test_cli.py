@@ -177,6 +177,54 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert cli.stage_complete(RunConfig.from_file(str(cfg_path)), "liquidity")
 
+    @pytest.mark.parametrize("command, config, manifest, message", [
+        (["liquidity", "--variants", "1,x"], {}, None, "invalid literal for int()"),
+        (["liquidity"], {"day_boundary": "9am"}, None, "day_boundary must be an HH:MM"),
+        (["liquidity"], {"day_boundary": "25:00"}, None, "day_boundary must be an HH:MM"),
+        (["liquidity"], {"minutes_per_day": 1}, None, "minutes_per_day must be in [2, 1440]"),
+        (["liquidity"], {"minutes_per_day": 3000}, None, "minutes_per_day must be in [2, 1440]"),
+        (["forecast"], {"window_days": 40}, None, "leaves at most 39 residuals"),
+        (["backtest", "--variants", "1"], {"window_days": 200}, None,
+         "window of 200 days needs more than 110 observations"),
+        (["backtest", "--variants", "5"], {"window_days": 200}, None,
+         "window of 200 needs more than 110 days of data"),
+        # a malformed manifest counts as empty, so the liquidity stage runs first
+        (["forecast"], {"window_days": 40}, '{"stages": []}', "leaves at most 39 residuals"),
+        (["forecast"], {"window_days": 40}, '{"stages": {"liquidity": {"key": "x"}}}',
+         "leaves at most 39 residuals"),
+    ], ids=["variants", "boundary-9am", "boundary-25h", "minutes-1", "minutes-3000",
+            "forecast-window", "backtest-window-v1", "backtest-window-v5",
+            "stages-list", "entry-without-files"])
+    def test_misuse_exits_without_traceback(self, data_csv, tmp_path, command, config,
+                                            manifest, message):
+        out = tmp_path / "out"
+        manifest_path = out / "manifest.json"
+        if manifest is not None:
+            out.mkdir()
+            manifest_path.write_text(manifest)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data_csv": data_csv, "out_dir": str(out),
+                                        "minutes_per_day": 16, **config}))
+        result = CliRunner().invoke(main, [command[0], "-c", str(cfg_path), *command[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert message in result.output
+        assert "Traceback" not in result.output
+        stages = json.loads(manifest_path.read_text())["stages"] if manifest_path.exists() else {}
+        assert command[0] not in stages
+        # a later stage's limits are checked after the liquidity stage completed
+        assert ("liquidity" in stages) == (command[0] != "liquidity")
+
+    def test_manifest_entry_outside_the_output_directory_is_ignored(self, data_csv, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        outside = tmp_path / "keep.txt"
+        outside.write_text("not a stage file")
+        (out / "manifest.json").write_text(json.dumps(
+            {"stages": {"liquidity": {"key": "x", "files": ["../keep.txt"]}}}))
+        run_liquidity(make_config(data_csv, out))
+        assert outside.read_text() == "not a stage file"
+
     def test_variant_one_needs_no_chain(self, data_csv, tmp_path):
         out = tmp_path / "lazy"
         cfg = make_config(data_csv, out, variants=(1,))

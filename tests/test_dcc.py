@@ -305,9 +305,9 @@ class TestForecast:
         fit = dcc.fit_dcc(e, "dcc")
         import dataclasses
         static = dataclasses.replace(
-            fit, a=0.0, b=0.0, g=0.0, last_o=fit.obar,
+            fit, a=0.0, b=0.0, g=0.0, o_next=fit.obar,
             garch=tuple(dcc.Garch11Params(1.0, 0.0, 0.0) for _ in range(2)),
-            last_h2=np.ones(2),
+            h2_next=np.ones(2),
         )
         omega = dcc.forecast_covariance(static)
         np.testing.assert_allclose(omega, static.obar, atol=1e-12)
@@ -319,7 +319,9 @@ class TestForecast:
         assert (fit.a, fit.b, fit.g) == (0.0, 0.0, 0.0)
         omega = dcc.forecast_covariance(fit)
         g = fit.garch[0]
-        expected = g.omega + g.alpha * e[-1] ** 2 + g.beta * fit.last_h2[0]
+        eps2 = e**2
+        last_h2 = garch11_filter(eps2, g.omega, g.alpha, g.beta, float(eps2.mean()))[-1]
+        expected = g.omega + g.alpha * e[-1] ** 2 + g.beta * last_h2
         assert omega[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_recursion_oracle(self):
@@ -384,7 +386,7 @@ class TestForecast:
         corr = np.array([[1.0, 0.5], [0.5, 1.0]])
         e = simulate_dcc(rng, 300, 0.05, 0.9, corr)
         fit = dcc.fit_dcc(e, "dcc")
-        _, o_next = dcc._next_state(fit)
+        o_next = fit.o_next
         d = 1.0 / np.sqrt(np.diag(o_next))
         p = o_next * np.outer(d, d)
         assert np.max(np.abs(np.diag(p) - 1.0)) < 1e-10

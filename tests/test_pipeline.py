@@ -160,6 +160,24 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
+def test_each_forecast_day_steps_each_recursion_once(series, monkeypatch):
+    use_cpus(monkeypatch, {0})      # the counter below only sees this process
+    calls = []
+    step = dcc._step
+
+    def counting(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(dcc, "_step", counting)
+    stride = 3
+    fset = run_forecasts(series, window_days=102, stride=stride)
+    anchors = len(fset.windows) // 2
+    assert anchors == 6 and not fset.failures       # every anchor forecasts 3 days
+    # the fit's own step, then one advance a day: stride x 2 pipelines x 2 kinds
+    assert len(calls) == anchors * stride * 2 * 2
+
+
 def test_garch_stage_fitted_once_per_window(series, monkeypatch):
     use_cpus(monkeypatch, {0})      # the counter below only sees this process
     calls = []

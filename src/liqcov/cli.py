@@ -64,6 +64,9 @@ def _digest(*parts) -> str:
 
 # trading days per year, by asset class: the annualization of Sharpe ratios
 _PERIODS_PER_YEAR = {"crypto": 365, "equity": 252}
+# by annotation: the exact types a config field's values take, so a bool is no int
+_FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
+                "float": ((int, float), "a number"), "tuple[int, ...]": ((int,), "a list of integers")}
 
 
 def _time_of_day(text) -> dt.time:
@@ -88,6 +91,11 @@ class RunConfig:
     variants: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            (types, kind), value = _FIELD_TYPES[field.type], getattr(self, field.name)
+            items = value if field.type.startswith("tuple") else (value,)
+            if not isinstance(items, tuple) or any(type(v) not in types for v in items):
+                raise ValueError(f"{field.name} must be {kind}, got {value!r}")
         if not 0.01 <= self.tau <= 10.0:
             raise ValueError(f"tau must be in [0.01, 10], got {self.tau}")
         if self.window_days < 10:
@@ -135,8 +143,8 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = dict(raw)
         merged.update({k: v for k, v in overrides.items() if v is not None})
-        if "variants" in merged:
-            merged["variants"] = tuple(int(v) for v in merged["variants"])
+        if isinstance(merged.get("variants"), list):
+            merged["variants"] = tuple(merged["variants"])
         cfg = cls(**merged)
         cfg.validate()
         return cfg

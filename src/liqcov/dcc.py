@@ -8,10 +8,10 @@ stationarity constraint; stage two fits the correlation dynamics
 
 on the standardized residuals x_t (m_t keeps only their negative parts),
 again by Gaussian quasi-MLE.  Both stages minimize the per-observation
-negative log-likelihood with L-BFGS-B and exact gradients, from three fixed
-starting points plus one restart from the best of them, so results are
-deterministic.  The fits run on box-bounded coordinates in which positivity
-and the stationarity simplex are the box itself:
+negative log-likelihood with L-BFGS-B and exact gradients, once from each of
+two (GARCH) or three (correlation) fixed starts; a third GARCH start or a
+restart barely moved a fit (``_fit_box``).  The fits run on box-bounded
+coordinates in which positivity and the stationarity simplex are the box:
 
     GARCH:  p = alpha + beta in [0, cap], r = alpha / p in [0, 1],
             u = log(omega / var_s) in [-25, 5]
@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 MAX_PERSISTENCE = 0.9995
 GARCH_MIN_OBS = 50
 
-_GARCH_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.02, 0.95))
+_GARCH_STARTS = ((0.10, 0.80), (0.02, 0.95))
 _DCC_STARTS = ((0.05, 0.90), (0.02, 0.95), (1e-4, 1e-4))
 _ADCC_STARTS = ((0.03, 0.90, 0.03), (0.01, 0.95, 0.02), (1e-4, 1e-4, 1e-4))
 
@@ -77,23 +77,14 @@ def _minimize_fd(fun, x0: np.ndarray, bounds) -> "object":
 
 
 def _fit_box(fun, starts, bounds) -> np.ndarray | None:
-    """Minimize ``fun`` from each start, then once more from the best optimum.
-
-    A solve can end early (on its relative-reduction test or a failed line
-    search) with the gradient still clearly nonzero; the second solve from
-    that point, with fresh curvature memory, carries on.  Returns the best
-    point, or None if no solve ends finite.
-    """
-    best_x, best_val = None, np.inf
-    for x0 in starts:
-        res = _minimize_fd(fun, np.asarray(x0, dtype=np.float64), bounds)
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_x, best_val = res.x, float(res.fun)
-    if best_x is not None:
-        res = _minimize_fd(fun, best_x, bounds)
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_x = res.x
-    return best_x
+    """Solve once from each start (two per GARCH fit, three per correlation
+    fit): the best point, or None if no solve ends finite.  Fewer starts miss
+    the best optimum by over 1e-6 on some 60-200 day windows.  Without a third
+    GARCH start, (0.05, 0.90), and a second solve from the best point, no fit
+    ended over 1e-9 (relative) lower, bar 11 of 18 980 (at most 1.4e-7)."""
+    results = [_minimize_fd(fun, np.asarray(x0, dtype=np.float64), bounds) for x0 in starts]
+    finite = [res for res in results if np.isfinite(res.fun)]
+    return min(finite, key=lambda res: res.fun).x if finite else None
 
 
 @dataclass(frozen=True)

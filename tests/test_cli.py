@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="variants"):
             make_config(data_csv, tmp_path, variants=(7,))
 
+    def test_json_numbers_and_lists_accepted(self, data_csv, tmp_path):
+        cfg = make_config(data_csv, tmp_path, tau=2, variants=[1, 5])
+        assert (cfg.tau, cfg.variants) == (2, (1, 5))
+
     def test_threads_key_rejected(self, data_csv, tmp_path):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_mapping({"data_csv": data_csv, "out_dir": "x", "threads": 2})
@@ -192,9 +196,21 @@ class TestCommands:
         (["forecast"], {"window_days": 40}, '{"stages": []}', "leaves at most 39 residuals"),
         (["forecast"], {"window_days": 40}, '{"stages": {"liquidity": {"key": "x"}}}',
          "leaves at most 39 residuals"),
+        # each field takes its annotation's JSON type, and a bool is no number
+        (["liquidity"], {"minutes_per_day": "16"}, None, "minutes_per_day must be an integer"),
+        (["liquidity"], {"window_days": "365"}, None, "window_days must be an integer"),
+        (["liquidity"], {"window_days": 365.5}, None, "window_days must be an integer"),
+        (["liquidity"], {"refit_stride": True}, None, "refit_stride must be an integer"),
+        (["liquidity"], {"tau": "1"}, None, "tau must be a number"),
+        (["liquidity"], {"tau": False}, None, "tau must be a number"),
+        (["liquidity"], {"asset_class": ["crypto"]}, None, "asset_class must be a string"),
+        (["liquidity"], {"variants": "15"}, None, "variants must be a list of integers"),
+        (["liquidity"], {"variants": [1, 5.0]}, None, "variants must be a list of integers"),
     ], ids=["variants", "boundary-9am", "boundary-25h", "minutes-1", "minutes-3000",
             "forecast-window", "backtest-window-v1", "backtest-window-v5",
-            "stages-list", "entry-without-files"])
+            "stages-list", "entry-without-files", "minutes-str", "window-str", "window-float",
+            "stride-bool", "tau-str", "tau-bool", "asset-class-list", "variants-str",
+            "variants-float"])
     def test_misuse_exits_without_traceback(self, data_csv, tmp_path, command, config,
                                             manifest, message):
         out = tmp_path / "out"

@@ -217,6 +217,19 @@ class TestNesting:
         assert (nested.a, nested.b, nested.g, nested.loglik) == (
             alone.a, alone.b, alone.g, alone.loglik)
 
+    def test_each_start_is_solved_once(self, monkeypatch):
+        e, garch, dcc_fit = self.fits()
+        solves = self.count_solves(monkeypatch)
+        dcc.fit_garch11(e[:, 0])
+        assert len(solves) == len(dcc._GARCH_STARTS)
+        for kind, nested, starts in (("dcc", None, dcc._DCC_STARTS),
+                                     ("adcc", None, dcc._ADCC_STARTS),
+                                     ("adcc", dcc_fit, dcc._ADCC_STARTS)):
+            solves.clear()
+            fit = dcc.fit_dcc(e, kind, garch=garch, nested=nested)
+            assert fit.loglik >= dcc_fit.loglik     # the nesting re-solve has no cause to run
+            assert len(solves) == len(starts)
+
     def test_nested_must_be_a_dcc_fit_of_the_same_garch_stage(self):
         e, garch, dcc_fit = self.fits()
         with pytest.raises(ValueError, match="nests"):
@@ -296,6 +309,36 @@ def test_bundled_fits_are_optima(bundled_windows):
                     continue
                 gain = nll_fit - corr_negloglik(xi, neg, res.obar, res.nbar, *cand)[0]
                 assert gain <= 1e-6 * abs(res.loglik), (res.kind, tuple(cand), gain)
+
+
+@pytest.fixture(scope="module")
+def short_windows(tmp_path_factory):
+    """Return every 70-day window of a short series (3 assets x 110 days x
+    16 minutes, seed 13), regular and adjusted."""
+    path = tmp_path_factory.mktemp("short") / "short.csv"
+    write_synthetic_csv(path, n_assets=3, n_days=110, minutes_per_day=16, seed=13)
+    grids = ingest_minute_csv(path, CalendarSpec.crypto(16)).grids
+    series = pipeline.assemble_series(pipeline.snapshots_from_grids(grids))
+    return [q[t - 69:t + 1] for t in range(69, series.n_days) for q in (series.q, series.q_adj)]
+
+
+def test_dropped_garch_start_never_beats_the_fit(short_windows, monkeypatch):
+    """A solve from (0.05, 0.90), the start dropped from _GARCH_STARTS, ends
+    at most 1e-9 (relative) above the fit on every VECM residual column."""
+    columns = []
+    for window in short_windows:
+        # the chain's lag and ECM fit (pipeline._fit_window_pipeline)
+        lag = vecm.select_lag(window, max_lag=min(vecm.MAX_LAG, len(window) - dcc.GARCH_MIN_OBS))
+        residuals = vecm.fit_vecm(window, lag).residuals
+        columns += [residuals[:, i] for i in range(residuals.shape[1])]
+    fits = [dcc.fit_garch11(e) for e in columns]
+    monkeypatch.setattr(dcc, "_GARCH_STARTS", ((0.05, 0.90),))
+    for e, fit in zip(columns, fits):
+        eps2 = e * e
+        nll_fit = garch11_negloglik(eps2, fit.omega, fit.alpha, fit.beta, eps2.mean())[0]
+        alt = dcc.fit_garch11(e)
+        gain = nll_fit - garch11_negloglik(eps2, alt.omega, alt.alpha, alt.beta, eps2.mean())[0]
+        assert gain <= 1e-9 * abs(nll_fit), (fit, alt, gain)
 
 
 class TestForecast:

@@ -43,9 +43,11 @@ def _data_sha256(path: str) -> str:
     """
     try:
         st = os.stat(path)
+        return _content_sha256(path, st.st_size, st.st_mtime_ns, st.st_ino)
     except FileNotFoundError:
         raise click.ClickException(f"data file not found: {path}") from None
-    return _content_sha256(path, st.st_size, st.st_mtime_ns, st.st_ino)
+    except OSError as exc:          # a directory, or no permission to read
+        raise click.ClickException(f"cannot read data file {path}: {exc.strerror or exc}") from None
 
 
 @functools.lru_cache(maxsize=16)
@@ -242,6 +244,8 @@ def _begin_liquidity(cfg: RunConfig, files: list[str]):
         result = ingest(cfg.data_csv, cfg.calendar())
     except CsvParseError as exc:
         raise click.ClickException(f"{cfg.data_csv}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"{cfg.data_csv}: not UTF-8 text ({exc.reason})") from exc
     if not result.grids:
         raise click.ClickException(f"{cfg.data_csv}: no complete asset-days found")
     begin_stage(cfg, "liquidity")

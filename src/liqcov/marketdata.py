@@ -8,6 +8,12 @@ ticks share one grid builder: missing minutes are filled with return 0 /
 volume 0 (closes carry forward), and a minute-bar day missing more than 20%
 of its minutes is rejected with a warning record instead of inventing
 prices; ticks, time-sorted within each session, never reject a day.
+
+Both formats are read as UTF-8.  A minute-bar file whose rows are all plain
+is read in numpy blocks (_buffer_blocks); any other minute-bar file, and
+every tick file, is read by the row loop (_buffer_rows), the reference the
+block reader matches: the same grids, and the same CsvParseError at the same
+line.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -23,6 +30,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_MISSING_FRACTION = 0.20
+
+# CalendarSpec.locate counts whole microseconds since the UTC epoch
+_EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_MICROSECOND = dt.timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
+_MINUTE_US = 60_000_000
 
 
 class CsvParseError(ValueError):
@@ -65,21 +79,18 @@ class CalendarSpec:
         return dt.datetime.combine(day, self.day_boundary, tzinfo=dt.timezone.utc)
 
     def locate(self, ts: dt.datetime) -> tuple[dt.date, int] | None:
-        """Map a UTC timestamp to (session day, minute index), or None if
-        the timestamp falls outside the session window."""
+        """Map a timestamp to (session day, minute index), or None if it falls
+        outside the session window.  A naive timestamp is taken as UTC; an
+        aware one is located by its instant, whatever zone it is written in."""
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=dt.timezone.utc)
-        boundary_secs = (
-            self.day_boundary.hour * 3600
-            + self.day_boundary.minute * 60
-            + self.day_boundary.second
-        )
-        shifted = ts - dt.timedelta(seconds=boundary_secs)
-        day = shifted.date()
-        offset = ts - self.session_start(day)
-        minute = int(offset.total_seconds() // 60)
-        if 0 <= minute < self.minutes_per_day:
-            return day, minute
+        b = self.day_boundary
+        boundary = dt.timedelta(hours=b.hour, minutes=b.minute, seconds=b.second,
+                                microseconds=b.microsecond)
+        days, rest = divmod((ts - _EPOCH - boundary) // _MICROSECOND, _DAY_US)
+        minute = rest // _MINUTE_US
+        if minute < self.minutes_per_day:
+            return dt.date.fromordinal(_EPOCH_ORDINAL + days), minute
         return None
 
 
@@ -149,8 +160,8 @@ def daily_compound_return(returns: Sequence[float] | np.ndarray) -> float:
     return float(np.prod(1.0 + r) - 1.0)
 
 
-# CalendarSpec.locate shifts a timestamp back by under one day, which stays
-# representable from the second day of year 1 on.
+# CalendarSpec.locate's session day can be the day before the timestamp's,
+# which is a date from the second day of year 1 on.
 _EARLIEST_TIMESTAMP = dt.datetime(1, 1, 2, tzinfo=dt.timezone.utc)
 
 
@@ -195,7 +206,10 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
     row.
 
     The volume is the amount column, or ``price * amount`` for ticks, which
-    must be time-sorted within each (symbol, session).
+    must be time-sorted within each (symbol, session).  This row loop reads
+    every tick file and every minute file that _buffer_blocks leaves to it;
+    it is the reference _buffer_blocks matches, and it raises the line-exact
+    CsvParseError of a malformed row.
     """
     # The assets of a portfolio share their timestamps, so each distinct
     # raw timestamp of a minute bar is parsed and located once; a tick keeps
@@ -204,7 +218,7 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
     groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
     latest: dict[tuple[str, dt.date], dt.datetime] = {}     # last tick per session
     price_name, amount_name = columns[2], columns[3]
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -250,6 +264,110 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
             buffers[2].append(price)
             buffers[3].append(amount)
     return groups
+
+
+_MINUTE_COLUMNS = ["timestamp", "symbol", "close", "dollar_volume"]
+# lines per np.loadtxt call: larger blocks read no faster and hold more memory
+_BLOCK_LINES = 4096
+_BLOCK_DTYPE = np.dtype([("timestamp", object), ("symbol", object),
+                         ("close", np.float64), ("volume", np.float64)])
+# csv.reader gives a quote and a carriage return meanings that a split at
+# commas does not, and float() and np.loadtxt treat ASCII control characters
+# differently, so a plain line's UTF-8 bytes are these and nothing else
+_PLAIN_BYTES = b"\n" + bytes(range(0x20, 0x100)).replace(b'"', b"")
+# a located timestamp is packed as day ordinal * _DAY_MINUTES + minute, which
+# holds because a minute index is below one day's minutes
+_DAY_MINUTES = 1440
+
+
+class _NotPlain(Exception):
+    """A block of a minute CSV that only the row loop reads as the reference does."""
+
+
+def _buffer_blocks(path, spec: CalendarSpec):
+    """_buffer_rows for a minute-bar CSV, read in blocks of _BLOCK_LINES
+    lines, or None when a block is not plain rows: a quote, a control
+    character other than the line feed, a blank, short or long row, a number
+    np.loadtxt does not parse (it rejects ``1_000`` and ``١٢٣``, which
+    float() accepts) or a value a row check rejects.  The caller then reads
+    the whole file with the row loop, which returns the same groups or raises
+    the line-exact error.
+    """
+    located: dict[str, int] = {}     # raw timestamp -> packed session minute, or -1
+    groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline()
+            if (header.encode().translate(None, _PLAIN_BYTES)
+                    or [h.strip().lower() for h in header.rstrip("\n").split(",")]
+                    != _MINUTE_COLUMNS):
+                return None
+            line_no = 2
+            while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+                _buffer_block(lines, line_no, spec, located, groups)
+                line_no += len(lines)
+    except (_NotPlain, UnicodeDecodeError):
+        return None
+    return groups
+
+
+def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
+                  located: dict[str, int], groups: dict) -> None:
+    """Check one block of lines and append its in-session rows to groups, or
+    raise _NotPlain."""
+    text = "".join(lines)
+    # with three commas a row, np.loadtxt skips no blank line
+    if text.count(",") != 3 * len(lines) or text.encode().translate(None, _PLAIN_BYTES):
+        raise _NotPlain
+    try:
+        rows = np.loadtxt(lines, dtype=_BLOCK_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        raise _NotPlain from None
+    closes, volumes = rows["close"], rows["volume"]
+    if not (np.isfinite(closes).all() and np.isfinite(volumes).all()
+            and (closes > 0).all() and (volumes >= 0).all()):
+        raise _NotPlain
+
+    # each distinct raw timestamp is parsed and located once per file, and
+    # each distinct raw symbol stripped once per block
+    stamps = rows["timestamp"].tolist()
+    for raw in set(stamps).difference(located):
+        try:
+            loc = spec.locate(_parse_timestamp(raw, first_line))
+        except CsvParseError:
+            raise _NotPlain from None
+        located[raw] = -1 if loc is None else loc[0].toordinal() * _DAY_MINUTES + loc[1]
+    packed = np.fromiter(map(located.__getitem__, stamps), np.int64, len(stamps))
+    symbols = rows["symbol"].tolist()
+    names: dict[str, int] = {}
+    name_of = {raw: names.setdefault(raw.strip(), len(names)) for raw in dict.fromkeys(symbols)}
+    if "" in names:
+        raise _NotPlain
+
+    kept = np.flatnonzero(packed >= 0)
+    if kept.size == 0:
+        return
+    day_of_row, minute_of_row = np.divmod(packed[kept], _DAY_MINUTES)
+    name_of_row = np.fromiter(map(name_of.__getitem__, symbols), np.int64, len(symbols))[kept]
+    first_day = int(day_of_row.min())
+    n_days = int(day_of_row.max()) - first_day + 1
+    # one key per (symbol, session day); a stable sort keeps file order within each
+    key = name_of_row * n_days + (day_of_row - first_day)
+    order = np.argsort(key, kind="stable")
+    key, kept, minute_of_row = key[order], kept[order], minute_of_row[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], key.shape[0])
+    name_list = list(names)
+    for start, end, k in zip(starts.tolist(), ends.tolist(), key[starts].tolist()):
+        group = (name_list[k // n_days], dt.date.fromordinal(first_day + k % n_days))
+        rows_of_group = kept[start:end]
+        buffers = groups.get(group)
+        if buffers is None:
+            buffers = groups[group] = (first_line + int(rows_of_group[0]),
+                                       array("q"), array("d"), array("d"))
+        buffers[1].frombytes(minute_of_row[start:end].tobytes())
+        buffers[2].frombytes(closes[rows_of_group].tobytes())
+        buffers[3].frombytes(volumes[rows_of_group].tobytes())
 
 
 @np.errstate(over="ignore")     # an overflow raises CsvParseError below
@@ -315,8 +433,9 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
     rejected.  The first minute of each session links to the prior
     session's last close when available, else carries return 0.
     """
-    groups = _buffer_rows(path, spec, ["timestamp", "symbol", "close", "dollar_volume"],
-                          ticks=False)
+    groups = _buffer_blocks(path, spec)
+    if groups is None:
+        groups = _buffer_rows(path, spec, _MINUTE_COLUMNS, ticks=False)
     t = spec.minutes_per_day
     return _build_grids(groups, t, int(MAX_MISSING_FRACTION * t), sum_volume=False)
 

@@ -24,6 +24,14 @@ def data_csv(tmp_path_factory):
     return str(path)
 
 
+def latin1_csv(tmp_path) -> str:
+    """A minute CSV whose symbol is Latin-1, not UTF-8, encoded."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"timestamp,symbol,close,dollar_volume\n"
+                     b"2021-03-01T00:00:00Z,CAF\xc9,100.0,1.0\n")
+    return str(path)
+
+
 def make_config(data_csv, out_dir, **kw):
     base = dict(
         data_csv=data_csv,
@@ -206,15 +214,19 @@ class TestCommands:
         (["liquidity"], {"asset_class": ["crypto"]}, None, "asset_class must be a string"),
         (["liquidity"], {"variants": "15"}, None, "variants must be a list of integers"),
         (["liquidity"], {"variants": [1, 5.0]}, None, "variants must be a list of integers"),
+        # a data path given as a function of tmp_path, and named in the message
+        (["liquidity"], {"data_csv": str}, None, "cannot read data file"),
+        (["liquidity"], {"data_csv": latin1_csv}, None, "not UTF-8 text"),
     ], ids=["variants", "boundary-9am", "boundary-25h", "minutes-1", "minutes-3000",
             "forecast-window", "backtest-window-v1", "backtest-window-v5",
             "stages-list", "entry-without-files", "minutes-str", "window-str", "window-float",
             "stride-bool", "tau-str", "tau-bool", "asset-class-list", "variants-str",
-            "variants-float"])
+            "variants-float", "data-directory", "data-not-utf8"])
     def test_misuse_exits_without_traceback(self, data_csv, tmp_path, command, config,
                                             manifest, message):
         out = tmp_path / "out"
         manifest_path = out / "manifest.json"
+        config = {k: v(tmp_path) if callable(v) else v for k, v in config.items()}
         if manifest is not None:
             out.mkdir()
             manifest_path.write_text(manifest)
@@ -225,6 +237,7 @@ class TestCommands:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert message in result.output
+        assert config.get("data_csv", "") in result.output
         assert "Traceback" not in result.output
         stages = json.loads(manifest_path.read_text())["stages"] if manifest_path.exists() else {}
         assert command[0] not in stages

@@ -4,10 +4,14 @@ import csv
 import datetime as dt
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from liqcov import marketdata
 from liqcov.marketdata import (
     CalendarSpec,
     MAX_MISSING_FRACTION,
@@ -231,6 +235,171 @@ class TestIngestOracle:
         grid_bytes = sum(g.returns.nbytes + g.dollar_volume.nbytes for g in result.grids)
         assert len(result.grids) == 40
         assert peak <= 8 * grid_bytes
+
+
+def _row_loop_alone():
+    """Make ingest_minute_csv read every file with the row loop."""
+    return mock.patch.object(marketdata, "_buffer_blocks", return_value=None)
+
+
+def _outcome(path, spec):
+    """ingest_minute_csv's grids as bytes and rejected days, or its error."""
+    try:
+        result = ingest_minute_csv(path, spec)
+    except CsvParseError as exc:
+        return "error", exc.line_no, exc.detail
+    grids = [(g.symbol, g.date, g.returns.tobytes(), g.dollar_volume.tobytes())
+             for g in result.grids]
+    return "result", grids, result.rejected
+
+
+# lines that only the row loop reads, by what makes them so; each row among
+# them names minute 1 of AAA's 2021-03-01 session, so that a row the row loop
+# keeps merges with the plain rows
+NOT_PLAIN = {
+    "quoted-symbol": '2021-03-01T00:01:00Z,"AAA",100.0,1.0',
+    "crlf": "2021-03-01T00:01:00Z,AAA,100.0,1.0\r",
+    "blank": "",
+    "whitespace-only": "   ",
+    "underscore": "2021-03-01T00:01:00Z,AAA,1_000,1.0",
+    "nan": "2021-03-01T00:01:00Z,AAA,100.0,nan",
+    "infinite-volume": "2021-03-01T00:01:00Z,AAA,100.0,inf",
+    "infinite-close": "2021-03-01T00:01:00Z,AAA,1e999,1.0",
+    "arabic-digits": "2021-03-01T00:01:00Z,AAA,\u0661\u0662\u0663,1.0",
+    "field-too-many": "2021-03-01T00:01:00Z,AAA,100.0,1.0,2.0",
+    "field-too-few": "2021-03-01T00:01:00Z,AAA,100.0",
+    "nul": "2021-03-01T00:01:00Z,AAA\0,100.0,1.0",
+    "negative-close": "2021-03-01T00:01:00Z,AAA,-100.0,1.0",
+    "empty-symbol": "2021-03-01T00:01:00Z, ,100.0,1.0",
+    "bad-timestamp": "2021-03-01T00:61:00Z,AAA,100.0,1.0",
+}
+# plain lines, of the same minute, that the block reader reads itself
+PLAIN = {
+    "utc": "2021-03-01T00:01:00Z,AAA,101.0,2.0",
+    "epoch-ms": f"{int(dt.datetime(2021, 3, 1, 0, 1, tzinfo=UTC).timestamp()) * 1000},AAA,101.0,2.0",
+    "plus-two-hours": "2021-03-01T02:01:00+02:00,AAA,101.0,2.0",
+    "out-of-session": "2021-03-01T00:09:00Z,AAA,101.0,2.0",
+    "padded-symbol": "2021-03-01T00:01:00Z, AAA ,101.0,2.0",
+}
+
+
+@st.composite
+def minute_files(draw):
+    """Small minute CSVs: plain rows of two symbols over two 6-minute
+    sessions, in three timestamp spellings, some outside the session, and in
+    half the files some lines only the row loop reads."""
+    lines = []
+    mixed = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 40))):
+        if mixed and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(sorted(NOT_PLAIN.values()))))
+            continue
+        ts = dt.datetime(2021, 3, draw(st.integers(1, 2)), tzinfo=UTC) + dt.timedelta(
+            minutes=draw(st.integers(-1, 7)), seconds=draw(st.integers(0, 59)))
+        spelling = draw(st.sampled_from(["utc", "epoch-ms", "plus-two-hours"]))
+        stamp_text = {
+            "utc": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "epoch-ms": str(int(ts.timestamp()) * 1000),
+            "plus-two-hours": ts.astimezone(dt.timezone(dt.timedelta(hours=2))).isoformat(),
+        }[spelling]
+        symbol = draw(st.sampled_from(["AAA", "BBB", " AAA"]))
+        # a close of 1e300 after one of 1e-300 overflows the day's return,
+        # an error raised at the line of the day's first row
+        close = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])))
+        volume = draw(st.floats(0, 1e6))
+        lines.append(f"{stamp_text},{symbol},{close!r},{volume!r}")
+    return "\n".join(["timestamp,symbol,close,dollar_volume"] + lines) + "\n"
+
+
+class TestBlockReader:
+    """The block reader against the row loop, the reference it must match."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=minute_files(), block_lines=st.integers(1, 9),
+           spec=st.sampled_from([CalendarSpec.crypto(6), CalendarSpec(6, dt.time(0, 3))]))
+    def test_equals_the_row_loop(self, tmp_path, text, block_lines, spec):
+        # each example rewrites the one file
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(marketdata, "_BLOCK_LINES", block_lines):
+            got = _outcome(path, spec)
+        with _row_loop_alone():
+            want = _outcome(path, spec)
+        assert got == want
+
+    @staticmethod
+    def plain_file(tmp_path, extra: str):
+        """6-minute sessions of AAA and BBB on two days, then extra, then
+        AAA's third session: 31 lines after the header."""
+        rows = [f"2021-03-0{day}T00:0{m}:00Z,{sym},{100.0 + m!r},1.0"
+                for day in (1, 2) for sym in ("AAA", "BBB") for m in range(6)]
+        rows.append(extra)
+        rows += [f"2021-03-03T00:0{m}:00Z,AAA,{100.0 + m!r},1.0" for m in range(6)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["timestamp,symbol,close,dollar_volume"] + rows) + "\n",
+                        encoding="utf-8", newline="")
+        return path
+
+    @pytest.mark.parametrize("feature", sorted(PLAIN))
+    def test_plain_file_never_enters_the_row_loop(self, tmp_path, feature):
+        path = self.plain_file(tmp_path, PLAIN[feature])
+        spec = CalendarSpec.crypto(6)
+        with mock.patch.object(marketdata, "_BLOCK_LINES", 4), \
+                mock.patch.object(marketdata, "_buffer_rows", wraps=marketdata._buffer_rows) as rows:
+            got = _outcome(path, spec)
+        assert rows.call_count == 0
+        with _row_loop_alone():
+            assert got == _outcome(path, spec)
+        assert got[0] == "result" and len(got[1]) == 5
+
+    @pytest.mark.parametrize("feature", sorted(NOT_PLAIN))
+    def test_each_feature_sends_the_file_to_the_row_loop_once(self, tmp_path, feature):
+        path = self.plain_file(tmp_path, NOT_PLAIN[feature])
+        spec = CalendarSpec.crypto(6)
+        # the feature is in the seventh of eight 4-line blocks
+        with mock.patch.object(marketdata, "_BLOCK_LINES", 4), \
+                mock.patch.object(marketdata, "_buffer_rows", wraps=marketdata._buffer_rows) as rows:
+            got = _outcome(path, spec)
+        assert rows.call_count == 1
+        with _row_loop_alone():
+            assert got == _outcome(path, spec)
+
+    def test_tick_files_keep_the_row_loop(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        path.write_text(f"timestamp,symbol,price,size\n{stamp(1, 0)},AAA,10.0,1.0\n")
+        with mock.patch.object(marketdata, "_buffer_blocks") as blocks:
+            ingest_tick_csv(path, CalendarSpec.crypto(3))
+        blocks.assert_not_called()
+
+
+def _locate_oracle(spec, ts):
+    """CalendarSpec.locate as it stood before it counted microseconds since
+    the epoch: right for UTC timestamps, not for others."""
+    b = spec.day_boundary
+    shifted = ts - dt.timedelta(seconds=b.hour * 3600 + b.minute * 60 + b.second)
+    day = shifted.date()
+    minute = int((ts - spec.session_start(day)).total_seconds() // 60)
+    return (day, minute) if 0 <= minute < spec.minutes_per_day else None
+
+
+class TestLocate:
+    def test_zone_aware_timestamp_takes_the_utc_session_day(self):
+        ts = dt.datetime(2020, 1, 1, 23, 30, tzinfo=dt.timezone(dt.timedelta(hours=-5)))
+        assert CalendarSpec.crypto(1440).locate(ts) == (dt.date(2020, 1, 2), 270)
+
+    @settings(max_examples=500, deadline=None)
+    @given(local=st.datetimes(min_value=dt.datetime(2, 1, 1),
+                              max_value=dt.datetime(9998, 12, 31, 23, 59, 59, 999999)),
+           offset=st.integers(-14 * 60, 14 * 60),
+           boundary=st.sampled_from([dt.time(0, 0), dt.time(13, 30), dt.time(23, 59, 59)]),
+           minutes=st.integers(2, 1440))
+    def test_locates_the_instant(self, local, offset, boundary, minutes):
+        spec = CalendarSpec(minutes, boundary)
+        ts = local.replace(tzinfo=dt.timezone(dt.timedelta(minutes=offset)))
+        utc = ts.astimezone(UTC)
+        assert spec.locate(ts) == spec.locate(utc) == _locate_oracle(spec, utc)
+        assert spec.locate(local) == spec.locate(local.replace(tzinfo=UTC))
 
 
 class TestReadGridsCsv:

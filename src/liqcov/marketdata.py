@@ -13,7 +13,9 @@ Both formats are read as UTF-8.  A minute-bar file whose rows are all plain
 is read in numpy blocks (_buffer_blocks); any other minute-bar file, and
 every tick file, is read by the row loop (_buffer_rows), the reference the
 block reader matches: the same grids, and the same CsvParseError at the same
-line.
+line.  The block reader locates a block whose timestamps are all UTC seconds
+written ``YYYY-MM-DDTHH:MM:SSZ`` in one numpy step, and parses any other
+spelling once per distinct timestamp.
 """
 
 from __future__ import annotations
@@ -84,14 +86,15 @@ class CalendarSpec:
         aware one is located by its instant, whatever zone it is written in."""
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=dt.timezone.utc)
-        b = self.day_boundary
-        boundary = dt.timedelta(hours=b.hour, minutes=b.minute, seconds=b.second,
-                                microseconds=b.microsecond)
-        days, rest = divmod((ts - _EPOCH - boundary) // _MICROSECOND, _DAY_US)
+        days, rest = divmod((ts - _EPOCH) // _MICROSECOND - self._boundary_us(), _DAY_US)
         minute = rest // _MINUTE_US
         if minute < self.minutes_per_day:
             return dt.date.fromordinal(_EPOCH_ORDINAL + days), minute
         return None
+
+    def _boundary_us(self) -> int:
+        b = self.day_boundary
+        return ((b.hour * 60 + b.minute) * 60 + b.second) * 1_000_000 + b.microsecond
 
 
 @dataclass(frozen=True)
@@ -292,6 +295,12 @@ def _buffer_blocks(path, spec: CalendarSpec):
     float() accepts) or a value a row check rejects.  The caller then reads
     the whole file with the row loop, which returns the same groups or raises
     the line-exact error.
+
+    A block whose timestamps are all UTC seconds written
+    ``YYYY-MM-DDTHH:MM:SSZ`` is located in one numpy step
+    (_locate_utc_seconds); in any other block each distinct raw timestamp is
+    parsed and located once per file.  Both give the row loop's session
+    minutes.
     """
     located: dict[str, int] = {}     # raw timestamp -> packed session minute, or -1
     groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
@@ -328,16 +337,19 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
             and (closes > 0).all() and (volumes >= 0).all()):
         raise _NotPlain
 
-    # each distinct raw timestamp is parsed and located once per file, and
-    # each distinct raw symbol stripped once per block
-    stamps = rows["timestamp"].tolist()
-    for raw in set(stamps).difference(located):
-        try:
-            loc = spec.locate(_parse_timestamp(raw, first_line))
-        except CsvParseError:
-            raise _NotPlain from None
-        located[raw] = -1 if loc is None else loc[0].toordinal() * _DAY_MINUTES + loc[1]
-    packed = np.fromiter(map(located.__getitem__, stamps), np.int64, len(stamps))
+    packed = _locate_utc_seconds(rows["timestamp"], spec)
+    if packed is None:
+        # any other spelling: each distinct raw timestamp is parsed and
+        # located once per file
+        stamps = rows["timestamp"].tolist()
+        for raw in set(stamps).difference(located):
+            try:
+                loc = spec.locate(_parse_timestamp(raw, first_line))
+            except CsvParseError:
+                raise _NotPlain from None
+            located[raw] = -1 if loc is None else loc[0].toordinal() * _DAY_MINUTES + loc[1]
+        packed = np.fromiter(map(located.__getitem__, stamps), np.int64, len(stamps))
+    # each distinct raw symbol is stripped once per block
     symbols = rows["symbol"].tolist()
     names: dict[str, int] = {}
     name_of = {raw: names.setdefault(raw.strip(), len(names)) for raw in dict.fromkeys(symbols)}
@@ -368,6 +380,39 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
         buffers[1].frombytes(minute_of_row[start:end].tobytes())
         buffers[2].frombytes(closes[rows_of_group].tobytes())
         buffers[3].frombytes(volumes[rows_of_group].tobytes())
+
+
+# the one timestamp spelling located without a Python parse, as 21 bytes:
+# a byte minus its shape byte is at most 9 where a digit goes (uint8 wraps
+# below "0"), and 0 at a separator and at the NUL padding after the "Z"
+_UTC_SECONDS_SHAPE = np.frombuffer(b"0000-00-00T00:00:00Z\0", np.uint8)
+_UTC_SECONDS_SPAN = np.where(_UTC_SECONDS_SHAPE == ord("0"), 9, 0).astype(np.uint8)
+_EARLIEST_SECOND = (_EARLIEST_TIMESTAMP - _EPOCH) // dt.timedelta(seconds=1)
+
+
+def _locate_utc_seconds(stamps: np.ndarray, spec: CalendarSpec) -> np.ndarray | None:
+    """The packed session minutes (-1 outside the session) of an object array
+    of raw timestamps, each equal to spec.locate(_parse_timestamp(raw)), or
+    None unless every timestamp is written ``YYYY-MM-DDTHH:MM:SSZ`` and names
+    a valid instant from _EARLIEST_TIMESTAMP on."""
+    try:
+        raw = stamps.astype("S21")      # a longer timestamp keeps a 21st byte
+    except UnicodeEncodeError:
+        return None
+    chars = raw.view(np.uint8).reshape(-1, 21)
+    if not (chars - _UTC_SECONDS_SHAPE <= _UTC_SECONDS_SPAN).all():
+        return None
+    try:
+        # numpy rejects a month, day, hour, minute or second out of range
+        seconds = raw.astype("S19").astype("datetime64[s]").view(np.int64)
+    except ValueError:
+        return None
+    if seconds.min() < _EARLIEST_SECOND:     # numpy parses year 0, fromisoformat does not
+        return None
+    days, rest = np.divmod(seconds * 1_000_000 - spec._boundary_us(), _DAY_US)
+    minutes = rest // _MINUTE_US
+    return np.where(minutes < spec.minutes_per_day,
+                    (days + _EPOCH_ORDINAL) * _DAY_MINUTES + minutes, -1)
 
 
 @np.errstate(over="ignore")     # an overflow raises CsvParseError below

@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liqcov import cli, marketdata, pipeline, portfolio, stats
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
@@ -90,6 +92,37 @@ class TestConfig:
         }))
         cfg = RunConfig.from_file(str(cfg_path), tau=2.5, window_days=80)
         assert cfg.tau == 2.5 and cfg.window_days == 80
+
+
+_JSON_TEXT = st.text(max_size=8)
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_LISTS = st.lists(st.one_of(st.integers(-5, 20), _JSON_TEXT, st.booleans()), max_size=3)
+_NON_POSITIVE = st.integers(-(2 ** 40), 0)
+_NOT_AN_INT = (_JSON_TEXT, st.booleans(), _JSON_FLOATS, _JSON_LISTS)
+_NOT_A_STR = (st.booleans(), st.integers(), _JSON_FLOATS, _JSON_LISTS)
+# each config field's wrong JSON types and out-of-range values
+_BAD_VALUES = {
+    "minutes_per_day": st.one_of(*_NOT_AN_INT, _NON_POSITIVE, st.integers(1441, 2 ** 40)),
+    "window_days": st.one_of(*_NOT_AN_INT, _NON_POSITIVE),
+    "refit_stride": st.one_of(*_NOT_AN_INT, _NON_POSITIVE),
+    "tau": st.one_of(_JSON_TEXT, st.booleans(), _JSON_LISTS, _NON_POSITIVE,
+                     st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+    "variants": st.one_of(*_NOT_AN_INT, st.integers(),
+                          st.lists(st.one_of(_JSON_TEXT, st.booleans(), _JSON_FLOATS,
+                                             _NON_POSITIVE),
+                                   min_size=1, max_size=3)),
+    "day_boundary": st.one_of(*_NOT_A_STR),
+    "asset_class": st.one_of(*_NOT_A_STR),
+    "data_kind": st.one_of(*_NOT_A_STR),
+}
+
+
+@st.composite
+def bad_configs(draw):
+    """One to three config fields, each with a wrong type or out of range."""
+    names = draw(st.lists(st.sampled_from(sorted(_BAD_VALUES)), min_size=1, max_size=3,
+                          unique=True))
+    return {name: draw(_BAD_VALUES[name]) for name in names}
 
 
 class TestCommands:
@@ -243,6 +276,20 @@ class TestCommands:
         assert command[0] not in stages
         # a later stage's limits are checked after the liquidity stage completed
         assert ("liquidity" in stages) == (command[0] != "liquidity")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=bad_configs())
+    def test_any_bad_config_exits_without_traceback(self, data_csv, tmp_path, config):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data_csv": data_csv, "out_dir": str(out), **config}))
+        result = CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert any(name in result.output for name in config), result.output
+        assert not (out / "manifest.json").exists()
 
     def test_manifest_entry_outside_the_output_directory_is_ignored(self, data_csv, tmp_path):
         out = tmp_path / "out"

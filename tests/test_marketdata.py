@@ -272,6 +272,8 @@ NOT_PLAIN = {
     "negative-close": "2021-03-01T00:01:00Z,AAA,-100.0,1.0",
     "empty-symbol": "2021-03-01T00:01:00Z, ,100.0,1.0",
     "bad-timestamp": "2021-03-01T00:61:00Z,AAA,100.0,1.0",
+    "impossible-date": "2021-02-29T00:01:00Z,AAA,100.0,1.0",
+    "year-zero": "0000-03-01T00:01:00Z,AAA,100.0,1.0",
 }
 # plain lines, of the same minute, that the block reader reads itself
 PLAIN = {
@@ -353,6 +355,18 @@ class TestBlockReader:
             assert got == _outcome(path, spec)
         assert got[0] == "result" and len(got[1]) == 5
 
+    @pytest.mark.parametrize("feature", sorted(PLAIN))
+    def test_only_other_spellings_are_parsed_in_python(self, tmp_path, feature):
+        # every row but the extra one is written YYYY-MM-DDTHH:MM:SSZ; an extra
+        # row in another spelling sends its 4-line block, 4 distinct
+        # timestamps, to the parse per distinct timestamp
+        path = self.plain_file(tmp_path, PLAIN[feature])
+        with mock.patch.object(marketdata, "_BLOCK_LINES", 4), \
+                mock.patch.object(marketdata, "_parse_timestamp",
+                                  wraps=marketdata._parse_timestamp) as parse:
+            ingest_minute_csv(path, CalendarSpec.crypto(6))
+        assert parse.call_count == (4 if feature in ("epoch-ms", "plus-two-hours") else 0)
+
     @pytest.mark.parametrize("feature", sorted(NOT_PLAIN))
     def test_each_feature_sends_the_file_to_the_row_loop_once(self, tmp_path, feature):
         path = self.plain_file(tmp_path, NOT_PLAIN[feature])
@@ -400,6 +414,73 @@ class TestLocate:
         utc = ts.astimezone(UTC)
         assert spec.locate(ts) == spec.locate(utc) == _locate_oracle(spec, utc)
         assert spec.locate(local) == spec.locate(local.replace(tzinfo=UTC))
+
+
+def _utc_seconds(year, month, day, hour, minute, second):
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+
+
+# YYYY-MM-DDTHH:MM:SSZ stamps with an impossible field, before the earliest
+# timestamp (year 0 is one numpy parses), or at a valid extreme
+EDGE_STAMPS = [
+    "2021-00-10T12:00:00Z", "2021-13-10T12:00:00Z", "2021-02-29T12:00:00Z",
+    "1900-02-29T12:00:00Z", "2021-04-31T12:00:00Z", "2021-03-10T24:00:00Z",
+    "2021-03-10T12:60:00Z", "2021-03-10T12:00:60Z", "0000-01-01T00:00:00Z",
+    "0000-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "0001-01-01T23:59:59Z",
+    "0001-01-02T00:00:00Z", "2000-02-29T00:00:00Z", "2020-02-29T23:59:59Z",
+    "9999-12-31T23:59:59Z",
+]
+
+
+@st.composite
+def utc_second_stamps(draw):
+    """1-6 stamps written YYYY-MM-DDTHH:MM:SSZ: valid instants, random digit
+    fields (about a quarter impossible) and EDGE_STAMPS."""
+    stamps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            ts = draw(st.datetimes(min_value=dt.datetime(1, 1, 1),
+                                   max_value=dt.datetime(9999, 12, 31, 23, 59, 59)))
+            stamps.append(_utc_seconds(ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second))
+        elif kind == 1:
+            stamps.append(_utc_seconds(
+                draw(st.integers(0, 9999)), draw(st.integers(0, 13)), draw(st.integers(0, 31)),
+                draw(st.integers(0, 24)), draw(st.integers(0, 60)), draw(st.integers(0, 60))))
+        else:
+            stamps.append(draw(st.sampled_from(EDGE_STAMPS)))
+    return stamps
+
+
+class TestLocateUtcSeconds:
+    """The block reader's one-step locate against the parse it replaces."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(stamps=utc_second_stamps(),
+           boundary=st.sampled_from([dt.time(0, 0), dt.time(13, 30), dt.time(23, 59, 59)]),
+           minutes=st.integers(2, 1440))
+    def test_equals_the_parse_or_declines(self, stamps, boundary, minutes):
+        spec = CalendarSpec(minutes, boundary)
+        want = []
+        for line_no, raw in enumerate(stamps, start=2):
+            try:
+                loc = spec.locate(_parse_timestamp(raw, line_no))
+            except CsvParseError:
+                want = None
+                break
+            want.append(-1 if loc is None else loc[0].toordinal() * 1440 + loc[1])
+        got = marketdata._locate_utc_seconds(np.array(stamps, dtype=object), spec)
+        # it declines exactly the arrays with a timestamp the parse rejects
+        assert (None if got is None else got.tolist()) == want
+
+    @pytest.mark.parametrize("raw", [
+        "2021-03-01T00:01:00", "2021-03-01T00:01:00z", "2021-03-01t00:01:00Z",
+        "2021-03-01 00:01:00Z", " 2021-03-01T00:01:00Z", "2021-03-01T00:01:00Z ",
+        "2021-03-01T00:01:00.5Z", "2021-03-01T00:01:00+00:00", "1614556860000",
+        "2021-3-01T00:01:00Z", "２021-03-01T00:01:00Z", "2021–03-01T00:01:00Z", ""])
+    def test_other_spellings_decline(self, raw):
+        stamps = np.array(["2021-03-01T00:00:00Z", raw], dtype=object)
+        assert marketdata._locate_utc_seconds(stamps, CalendarSpec.crypto(1440)) is None
 
 
 class TestReadGridsCsv:

@@ -104,6 +104,8 @@ class RunConfig:
             raise ValueError("window_days must be at least 10")
         if self.refit_stride < 1:
             raise ValueError("refit_stride must be >= 1")
+        if not self.variants:
+            raise ValueError("variants must name at least one variant")
         bad = set(self.variants) - set(range(1, 7))
         if bad:
             raise ValueError(f"unknown variants: {sorted(bad)}")

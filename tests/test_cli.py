@@ -61,6 +61,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="variants"):
             make_config(data_csv, tmp_path, variants=(7,))
 
+    def test_empty_variants_rejected(self, data_csv, tmp_path):
+        with pytest.raises(ValueError, match="variants must name at least one"):
+            make_config(data_csv, tmp_path, variants=[])
+
     def test_json_numbers_and_lists_accepted(self, data_csv, tmp_path):
         cfg = make_config(data_csv, tmp_path, tau=2, variants=[1, 5])
         assert (cfg.tau, cfg.variants) == (2, (1, 5))
@@ -107,9 +111,11 @@ _BAD_VALUES = {
     "refit_stride": st.one_of(*_NOT_AN_INT, _NON_POSITIVE),
     "tau": st.one_of(_JSON_TEXT, st.booleans(), _JSON_LISTS, _NON_POSITIVE,
                      st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
-    "variants": st.one_of(*_NOT_AN_INT, st.integers(),
+    # a list of ints in 1..6 is a valid selection, so a drawn list holds a bad item
+    "variants": st.one_of(_JSON_TEXT, st.booleans(), _JSON_FLOATS, st.integers(),
+                          st.just([]),
                           st.lists(st.one_of(_JSON_TEXT, st.booleans(), _JSON_FLOATS,
-                                             _NON_POSITIVE),
+                                             _NON_POSITIVE, st.integers(min_value=7)),
                                    min_size=1, max_size=3)),
     "day_boundary": st.one_of(*_NOT_A_STR),
     "asset_class": st.one_of(*_NOT_A_STR),

@@ -1,13 +1,14 @@
 """Command-line pipeline: ingest -> liquidity -> forecast -> backtest -> report.
 
-Runs are driven by a JSON config file; flags override config keys.  Every
-stage persists CSV intermediates under the output directory, and the
-manifest records each completed stage's files under a key that digests
-exactly the inputs those files depend on (the data file by its content).
-So a stage is skipped or resumed only while its own inputs are unchanged,
-and identical (config, data content) runs reproduce identical output
-trees.  The liquidity stage also writes the daily series as one exact
-binary file, ``series.npz``, which every later stage loads.
+Runs are driven by a JSON config file; flags override config keys.  The
+data file's header row picks the minute-bar or tick reader, so no key names
+the format.  Every stage persists CSV intermediates under the output
+directory, and the manifest records each completed stage's files under a
+key that digests exactly the inputs those files depend on (the data file by
+its content).  So a stage is skipped or resumed only while its own inputs
+are unchanged, and identical (config, data content) runs reproduce
+identical output trees.  The liquidity stage also writes the daily series
+as one exact binary file, ``series.npz``, which every later stage loads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import pipeline, portfolio, stats
 from .condsvd import conditional_svd
-from .marketdata import CalendarSpec, CsvParseError, ingest_minute_csv, ingest_tick_csv
+from .marketdata import CalendarSpec, CsvParseError, ingest_csv
 from .synthetic import write_synthetic_csv
 
 logger = logging.getLogger(__name__)
@@ -83,7 +84,6 @@ def _time_of_day(text) -> dt.time:
 class RunConfig:
     data_csv: str
     out_dir: str
-    data_kind: str = "minute"       # "minute" | "tick"
     minutes_per_day: int = 1440
     day_boundary: str = "00:00"
     asset_class: str = "crypto"
@@ -111,8 +111,6 @@ class RunConfig:
             raise ValueError(f"unknown variants: {sorted(bad)}")
         if self.asset_class not in _PERIODS_PER_YEAR:
             raise ValueError("asset_class must be 'crypto' or 'equity'")
-        if self.data_kind not in ("minute", "tick"):
-            raise ValueError("data_kind must be 'minute' or 'tick'")
         # a longer session would run into the next day's
         if not 2 <= self.minutes_per_day <= 1440:
             raise ValueError(f"minutes_per_day must be in [2, 1440], got {self.minutes_per_day}")
@@ -125,8 +123,8 @@ class RunConfig:
     def stage_keys(self) -> dict[str, str]:
         """Each resumable stage's key: a digest of exactly the inputs its
         files depend on.  Variants 5 and 6 use the forecast stage's output."""
-        liquidity = _digest(_data_sha256(self.data_csv), self.data_kind,
-                            self.minutes_per_day, self.day_boundary)
+        liquidity = _digest(_data_sha256(self.data_csv), self.minutes_per_day,
+                            self.day_boundary)
         forecast = _digest(liquidity, self.window_days, self.refit_stride, self.tau)
         chain = forecast if set(self.variants) & {5, 6} else None
         return {"liquidity": liquidity, "forecast": forecast,
@@ -141,6 +139,8 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict, **overrides) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -241,9 +241,8 @@ def _begin_liquidity(cfg: RunConfig, files: list[str]):
     """Build the grids from the raw CSV, begin the liquidity stage and write
     rejected_days.csv when a day was rejected.  Returns the grids and adds
     the name written to files."""
-    ingest = ingest_tick_csv if cfg.data_kind == "tick" else ingest_minute_csv
     try:
-        result = ingest(cfg.data_csv, cfg.calendar())
+        result = ingest_csv(cfg.data_csv, cfg.calendar())
     except CsvParseError as exc:
         raise click.ClickException(f"{cfg.data_csv}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -358,7 +357,7 @@ def _write_table2(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
         for kind, name in kind_labels.items():
             _, regular[name] = fset.dets("regular", kind, what)
             _, adjusted[name] = fset.dets("adjusted", kind, what)
-        rows = stats.determinant_tests(regular, adjusted, kinds=tuple(kind_labels.values()))
+        rows = stats.determinant_tests(regular, adjusted)
         panels.append((label, rows))
     headers = ["panel"] + stats.comparison_rows_table(panels[0][1])[0]
     body = []
@@ -466,11 +465,14 @@ def _build_config(config_path, **overrides) -> RunConfig:
                 int(v) for v in str(overrides["variants"]).split(",") if v
             )
         if config_path:
-            return RunConfig.from_file(config_path, **overrides)
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if "data_csv" not in clean or "out_dir" not in clean:
-            raise ValueError("--data and --out are required without a config file")
-        return RunConfig.from_mapping(clean)
+            cfg = RunConfig.from_file(config_path, **overrides)
+        else:
+            clean = {k: v for k, v in overrides.items() if v is not None}
+            if "data_csv" not in clean or "out_dir" not in clean:
+                raise ValueError("--data and --out are required without a config file")
+            cfg = RunConfig.from_mapping(clean)
+        os.makedirs(cfg.out_dir, exist_ok=True)     # fails on a file, or a path under one
+        return cfg
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -518,16 +520,21 @@ def cmd_report(config_path, **overrides):
     click.echo(run_report(cfg))
 
 
+def _read_matrix(path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, OSError) as exc:     # a non-numeric cell, a ragged row
+        raise click.ClickException(f"cannot read matrix {path}: {exc}") from None
+
+
 @main.command("condsvd-debug")
 @click.argument("matrix_a", type=click.Path(exists=True))
 @click.argument("matrix_b", type=click.Path(exists=True))
 @click.option("--floor", type=float, default=None)
 def cmd_condsvd_debug(matrix_a, matrix_b, floor):
     """Solve A = H B H' for two dense CSV matrices and print diagnostics."""
-    a = np.loadtxt(matrix_a, delimiter=",", ndmin=2)
-    b = np.loadtxt(matrix_b, delimiter=",", ndmin=2)
     try:
-        res = conditional_svd(a, b, floor=floor)
+        res = conditional_svd(_read_matrix(matrix_a), _read_matrix(matrix_b), floor=floor)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo("H =")
@@ -550,6 +557,8 @@ def cmd_synth(out_path, assets, days, minutes, seed):
                             minutes_per_day=minutes, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
+    except OSError as exc:      # a directory, or under a missing one
+        raise click.ClickException(f"cannot write {out_path}: {exc.strerror or exc}") from None
     click.echo(f"wrote {out_path}")
 
 

@@ -49,8 +49,9 @@ def default_floor(m: np.ndarray) -> float:
     return max(1e-12, 1e-10 * float(np.trace(m)) / n)
 
 
-def check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    """Raise ValueError if ``m`` is not square-symmetric within ``tol``.
+def check_symmetric(m: np.ndarray, name: str) -> None:
+    """Raise ValueError if ``m`` is not a finite square matrix symmetric
+    within 1e-10.
 
     The tolerance is absolute for unit-scale matrices and scales with the
     matrix magnitude for larger ones.
@@ -58,9 +59,11 @@ def check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix '{name}' must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"matrix '{name}' has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if float(np.max(np.abs(m - m.T))) > tol * scale:
-        raise ValueError(f"matrix '{name}' is not symmetric within {tol:g}")
+    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+        raise ValueError(f"matrix '{name}' is not symmetric within 1e-10")
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -68,23 +71,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sym_inverse(m: np.ndarray, name: str, floor: float | None = None) -> np.ndarray:
+def sym_inverse(m: np.ndarray, name: str) -> np.ndarray:
     """Inverse of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues below the floor are raised to it before inversion so that
-    near-singular day matrices do not abort rolling runs.  A matrix with no
+    Eigenvalues below default_floor(m) are raised to it before inversion so
+    that near-singular day matrices do not abort rolling runs.  A matrix with no
     usable spectrum (all eigenvalues at or below zero, or non-finite
     entries) raises :class:`SingularMatrixError` naming the offender.
     """
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise SingularMatrixError(name, "non-finite entries")
-    if floor is None:
-        floor = default_floor(m)
     lam, vec = np.linalg.eigh(symmetrize(m))
     if lam[-1] <= 0.0:
         raise SingularMatrixError(name, "no positive eigenvalues")
-    lam = np.maximum(lam, floor)
+    lam = np.maximum(lam, default_floor(m))
     inv = (vec / lam) @ vec.T
     return symmetrize(inv)
 

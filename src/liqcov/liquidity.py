@@ -185,13 +185,12 @@ def liquidity_betas(day: AssetDay) -> LiquidityBetas:
     return LiquidityBetas(float(jump), float(diffusion))
 
 
-def intraday_covariance(grids: Sequence[MinuteGrid], adjusted: bool = False) -> np.ndarray:
+def intraday_covariance(grids: Sequence[MinuteGrid]) -> np.ndarray:
     """Minute-return covariance of the day scaled by the minute count.
 
     With the day-population covariance (1/T) this equals the centered
     cross-product matrix Xc' Xc, whose diagonal is the squared daily
-    volatility of each asset.  adjusted=True uses the liquidity-adjusted
-    minute returns (raw returns for assets whose adjustment is degenerate).
+    volatility of each asset.
     """
     if not grids:
         raise ValueError("no grids")
@@ -202,8 +201,6 @@ def intraday_covariance(grids: Sequence[MinuteGrid], adjusted: bool = False) -> 
             raise ValueError("grids have mismatched minute counts")
         if grid.date != date:
             raise ValueError("grids are not from the same day")
-    if adjusted:
-        return _cross_product(grids, [_adjusted(g) for g in grids])
     return _cross_product(grids, [None] * len(grids))
 
 
@@ -223,26 +220,21 @@ def jump_matrix(betas: Sequence[LiquidityBetas | float]) -> np.ndarray:
     return np.diag(vals)
 
 
-def diffusion_matrix(
-    sigma_tt: np.ndarray,
-    sigma_tt_adj: np.ndarray,
-    floor: float | None = None,
-    tol: float = 1e-8,
-) -> np.ndarray:
+def diffusion_matrix(sigma_tt: np.ndarray, sigma_tt_adj: np.ndarray) -> np.ndarray:
     """Matrix H with sigma_tt = H sigma_tt_adj H', via conditional SVD.
 
     Raises SingularMatrixError naming the deficient asset subspace when the
     adjusted covariance is singular beyond the regularization floor (the
-    reconstruction residual then exceeds ``tol``).
+    relative reconstruction residual then exceeds 1e-8).
     """
-    res = conditional_svd(sigma_tt, sigma_tt_adj, floor=floor)
-    if res.residual > tol:
+    res = conditional_svd(sigma_tt, sigma_tt_adj)
+    if res.residual > 1e-8:
         lam, vec = np.linalg.eigh(symmetrize(np.asarray(sigma_tt_adj, dtype=np.float64)))
         deficient = np.where(lam < res.floor_used)[0]
         assets = sorted({int(np.argmax(np.abs(vec[:, j]))) for j in deficient})
         raise SingularMatrixError(
             "sigma_tt_adj",
-            f"reconstruction residual {res.residual:.2e} > {tol:g}; "
+            f"reconstruction residual {res.residual:.2e} > 1e-08; "
             f"deficient subspace dominated by asset indices {assets}",
         )
     return res.h
@@ -271,7 +263,7 @@ def build_snapshot(day_grids: Sequence[MinuteGrid]) -> LiquiditySnapshot:
     betas = tuple(liquidity_betas(d) for d in days)
     q = np.array([d.daily_return for d in days])
     q_adj = np.array([d.daily_liq_return for d in days])
-    sigma_tt = intraday_covariance(day_grids, adjusted=False)
+    sigma_tt = intraday_covariance(day_grids)
     sigma_tt_adj = _cross_product(day_grids, adjusted)
     b_jump = jump_matrix(betas)
     b_diff = diffusion_matrix(sigma_tt, sigma_tt_adj)

@@ -8,6 +8,7 @@ ticks share one grid builder: missing minutes are filled with return 0 /
 volume 0 (closes carry forward), and a minute-bar day missing more than 20%
 of its minutes is rejected with a warning record instead of inventing
 prices; ticks, time-sorted within each session, never reject a day.
+ingest_csv reads either format, chosen by the file's header row.
 
 Both formats are read as UTF-8.  A minute-bar file whose rows are all plain
 is read in numpy blocks (_buffer_blocks); any other minute-bar file, and
@@ -71,14 +72,6 @@ class CalendarSpec:
     @classmethod
     def crypto(cls, minutes_per_day: int = 1440) -> "CalendarSpec":
         return cls(minutes_per_day, dt.time(0, 0))
-
-    @classmethod
-    def equity(cls, minutes_per_day: int = 390) -> "CalendarSpec":
-        # 13:30 UTC = 09:30 New York standard market open
-        return cls(minutes_per_day, dt.time(13, 30))
-
-    def session_start(self, day: dt.date) -> dt.datetime:
-        return dt.datetime.combine(day, self.day_boundary, tzinfo=dt.timezone.utc)
 
     def locate(self, ts: dt.datetime) -> tuple[dt.date, int] | None:
         """Map a timestamp to (session day, minute index), or None if it falls
@@ -270,6 +263,7 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
 
 
 _MINUTE_COLUMNS = ["timestamp", "symbol", "close", "dollar_volume"]
+_TICK_COLUMNS = ["timestamp", "symbol", "price", "size"]
 # lines per np.loadtxt call: larger blocks read no faster and hold more memory
 _BLOCK_LINES = 4096
 _BLOCK_DTYPE = np.dtype([("timestamp", object), ("symbol", object),
@@ -495,9 +489,26 @@ def ingest_tick_csv(path, spec: CalendarSpec) -> IngestResult:
     minute of a session links to the prior session's last traded price when
     available.
     """
-    groups = _buffer_rows(path, spec, ["timestamp", "symbol", "price", "size"], ticks=True)
+    groups = _buffer_rows(path, spec, _TICK_COLUMNS, ticks=True)
     t = spec.minutes_per_day
     return _build_grids(groups, t, t, sum_volume=True)
+
+
+def ingest_csv(path, spec: CalendarSpec) -> IngestResult:
+    """ingest_minute_csv or ingest_tick_csv, as the file's header row names.
+    Only that row is read to choose; any other header raises CsvParseError
+    at line 1 naming both."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise CsvParseError(1, "empty file")
+    columns = [h.strip().lower() for h in header]
+    if columns == _MINUTE_COLUMNS:
+        return ingest_minute_csv(path, spec)
+    if columns == _TICK_COLUMNS:
+        return ingest_tick_csv(path, spec)
+    raise CsvParseError(1, f"expected header {','.join(_MINUTE_COLUMNS)} (minute bars) "
+                           f"or {','.join(_TICK_COLUMNS)} (ticks)")
 
 
 # ---------------------------------------------------------------------------

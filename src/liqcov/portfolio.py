@@ -108,7 +108,8 @@ def solve_mv(problem: MvProblem) -> np.ndarray:
     """Exact KKT solution of the capped long-only mean-variance program.
 
     Returns the (N+1)-vector of risky weights plus cash.  Sigma must be PSD
-    (callers floor eigenvalues first); lambda must be positive.
+    (callers floor eigenvalues first); mu must be finite and lambda positive
+    and finite.
     """
     mu = np.asarray(problem.mu, dtype=np.float64).ravel()
     sigma = np.asarray(problem.sigma, dtype=np.float64)
@@ -117,8 +118,10 @@ def solve_mv(problem: MvProblem) -> np.ndarray:
     check_symmetric(sigma, "sigma")
     if sigma.shape[0] != n:
         raise ValueError("mu and sigma dimensions disagree")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not np.isfinite(mu).all():
+        raise ValueError("mu has non-finite entries")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     scale = max(1.0, float(np.max(np.abs(sigma))))
     if min_eigenvalue(sigma) < -1e-10 * scale:
         raise ValueError("sigma is not PSD; floor its eigenvalues first")

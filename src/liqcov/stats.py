@@ -21,6 +21,7 @@ from scipy.stats import t as student_t
 from .liquidity import DET_CAP
 
 STAR_LEVELS = ((0.01, "***"), (0.05, "**"), (0.10, "*"))
+HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,15 @@ DIRECTION_GLYPHS = {"up": "↑", "down": "↓", "<->": "↔"}
 def determinant_tests(
     regular: Mapping[str, np.ndarray],
     adjusted: Mapping[str, np.ndarray],
-    kinds: Sequence[str] = ("dcc", "adcc", "dcc_best"),
 ) -> list[ComparisonRow]:
-    """One-sided (less) tests of regular minus adjusted determinant series.
+    """One-sided (less) tests of regular minus adjusted determinant series,
+    one row per key of regular, in its order.
 
     A significantly negative t means the liquidity adjustment increases the
     determinant (direction "up").
     """
     rows = []
-    for kind in kinds:
+    for kind in regular:
         x = np.asarray(regular[kind], dtype=np.float64)
         y = np.asarray(adjusted[kind], dtype=np.float64)
         if x.shape != y.shape:
@@ -186,14 +187,11 @@ def coefficient_tests(
     return rows
 
 
-def histogram(values, bin_count: int = 50):
-    """Uniform-bin counts over the capped range; the last bin is right-closed
-    so values at exactly the cap land in it."""
-    if bin_count < 1:
-        raise ValueError("bin_count must be >= 1")
+def histogram(values):
+    """HISTOGRAM_BINS uniform-bin counts over the capped range; the last bin
+    is right-closed so values at exactly the cap land in it."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    counts, edges = np.histogram(v, bins=bin_count, range=(0.0, DET_CAP))
-    return counts, edges
+    return np.histogram(v, bins=HISTOGRAM_BINS, range=(0.0, DET_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def write_histogram_csv(path, counts, edges) -> None:
                     zip(edges[:-1], edges[1:], counts))
 
 
-def write_histogram_svg(path, counts, edges, title: str = "") -> None:
+def write_histogram_svg(path, counts, edges, title: str) -> None:
     """Minimal deterministic SVG bar chart (no plotting backend)."""
     counts = np.asarray(counts)
     width, height, margin = 640, 360, 40
@@ -296,12 +294,9 @@ def write_histogram_svg(path, counts, edges, title: str = "") -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for i, count in enumerate(counts):
         bar_h = (height - 2 * margin) * int(count) / peak
         x = margin + i * bar_w

@@ -226,17 +226,15 @@ def _levels_from_ecm(gamma: np.ndarray, phi_star: np.ndarray) -> np.ndarray:
     return phi
 
 
-def fit_vecm(window, p: int | None = None, coint_rank: int | None = None) -> VecmFit:
-    """Estimate the ECM for the window at the given lag and rank.
+def fit_vecm(window, p: int, coint_rank: int | None = None) -> VecmFit:
+    """Estimate the ECM for the window at lag p and the given rank.
 
-    Lag and rank default to select_lag / johansen_trace on the same window;
+    The rank defaults to johansen_trace's on the same window at lag p, and
     a tested rank reuses the test's eigenvectors.  Residuals are returned
     for the correlation-model stage downstream.
     """
     y = _as_window(window)
     n, dim = y.shape
-    if p is None:
-        p = select_lag(y)
     if not 1 <= p <= MAX_LAG:
         raise ValueError(f"lag must be in [1, {MAX_LAG}], got {p}")
     eigvecs = None

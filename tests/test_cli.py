@@ -34,6 +34,29 @@ def latin1_csv(tmp_path) -> str:
     return str(path)
 
 
+def taken_file(tmp_path) -> str:
+    """A file where a directory is expected."""
+    path = tmp_path / "taken.txt"
+    path.write_text("not a directory")
+    return str(path)
+
+
+def matrix_file(text):
+    """A function of tmp_path that writes text as a matrix CSV and returns its path."""
+    def write(tmp_path) -> str:
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def tree_outside(root, skipped) -> dict:
+    """The content of every file under root, except under skipped, by path;
+    a directory maps to None."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*")) if skipped not in (path, *path.parents)}
+
+
 def make_config(data_csv, out_dir, **kw):
     base = dict(
         data_csv=data_csv,
@@ -75,7 +98,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("seed", 7), ("periods_per_year", 365.0), ("histogram_bins", 50),
-        ("export_matrices", False)])
+        ("export_matrices", False), ("data_kind", "tick")])
     def test_removed_keys_rejected(self, data_csv, key, value):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_mapping({"data_csv": data_csv, "out_dir": "x", key: value})
@@ -119,7 +142,6 @@ _BAD_VALUES = {
                                    min_size=1, max_size=3)),
     "day_boundary": st.one_of(*_NOT_A_STR),
     "asset_class": st.one_of(*_NOT_A_STR),
-    "data_kind": st.one_of(*_NOT_A_STR),
 }
 
 
@@ -172,7 +194,7 @@ class TestCommands:
             "2021-03-01T00:01:00Z,AAA,10.0,1.0\n"
             "2021-03-01T00:02:00Z,BBB,20.0,1.0\n"
             "2021-03-01T00:00:30Z,AAA,10.5,1.0\n",
-            data_kind="tick", minutes_per_day=16)
+            minutes_per_day=16)
         assert result.exit_code == 1
         assert f"{data}: line 4: tick at" in result.output
         assert "Traceback" not in result.output
@@ -197,7 +219,7 @@ class TestCommands:
             "2021-03-01T00:00:00Z,BBB,20.0,1.0\n"
             "2021-03-01T00:00:10Z,AAA,1e308,1.0\n"
             "2021-03-01T00:00:20Z,AAA,1e308,1.0\n",
-            data_kind="tick", minutes_per_day=2)
+            minutes_per_day=2)
         assert result.exit_code == 1
         assert f"{data}: line 3: AAA 2021-03-01: dollar volume overflows" in result.output
         assert "Traceback" not in result.output
@@ -256,32 +278,70 @@ class TestCommands:
         # a data path given as a function of tmp_path, and named in the message
         (["liquidity"], {"data_csv": str}, None, "cannot read data file"),
         (["liquidity"], {"data_csv": latin1_csv}, None, "not UTF-8 text"),
+        # a config file that is not a JSON object
+        (["liquidity"], 42, None, "config must be a JSON object"),
+        (["liquidity"], None, None, "config must be a JSON object"),
+        (["liquidity"], [1, 2], None, "config must be a JSON object"),
+        (["liquidity"], "x", None, "config must be a JSON object"),
+        # an output path that cannot take the output, named in the message
+        (["liquidity"], {"out_dir": taken_file}, None, "File exists"),
+        (["forecast"], {"out_dir": taken_file}, None, "File exists"),
+        (["backtest"], {"out_dir": taken_file}, None, "File exists"),
+        (["report"], {"out_dir": taken_file}, None, "File exists"),
+        (["synth", "--out", str], {}, None, "Is a directory"),
+        (["synth", "--out", lambda tmp: str(tmp / "missing" / "data.csv")], {}, None,
+         "No such file or directory"),
+        (["condsvd-debug", matrix_file("2,x"), matrix_file("2,x")], {}, None,
+         "cannot read matrix"),
+        (["condsvd-debug", matrix_file("1,0\n0"), matrix_file("1,0\n0")], {}, None,
+         "cannot read matrix"),
     ], ids=["variants", "boundary-9am", "boundary-25h", "minutes-1", "minutes-3000",
             "forecast-window", "backtest-window-v1", "backtest-window-v5",
             "stages-list", "entry-without-files", "minutes-str", "window-str", "window-float",
             "stride-bool", "tau-str", "tau-bool", "asset-class-list", "variants-str",
-            "variants-float", "data-directory", "data-not-utf8"])
+            "variants-float", "data-directory", "data-not-utf8", "config-int", "config-null",
+            "config-list", "config-str", "liquidity-out-file", "forecast-out-file",
+            "backtest-out-file", "report-out-file", "synth-out-directory",
+            "synth-out-missing-directory", "condsvd-non-numeric", "condsvd-ragged"])
     def test_misuse_exits_without_traceback(self, data_csv, tmp_path, command, config,
                                             manifest, message):
         out = tmp_path / "out"
         manifest_path = out / "manifest.json"
-        config = {k: v(tmp_path) if callable(v) else v for k, v in config.items()}
+        # paths given as functions of tmp_path, each named in the message
+        named = []
+
+        def resolve(value):
+            if callable(value):
+                value = value(tmp_path)
+                named.append(value)
+            return value
+
+        args = [resolve(a) for a in command[1:]]
+        if isinstance(config, dict):
+            config = {k: resolve(v) for k, v in config.items()}
+            raw = {"data_csv": data_csv, "out_dir": str(out), "minutes_per_day": 16, **config}
+        else:
+            raw, config = config, {}
         if manifest is not None:
             out.mkdir()
             manifest_path.write_text(manifest)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"data_csv": data_csv, "out_dir": str(out),
-                                        "minutes_per_day": 16, **config}))
-        result = CliRunner().invoke(main, [command[0], "-c", str(cfg_path), *command[1:]])
+        cfg_path.write_text(json.dumps(raw))
+        if command[0] in ("liquidity", "forecast", "backtest", "report"):
+            args = ["-c", str(cfg_path), *args]
+        before = tree_outside(tmp_path, out)
+        result = CliRunner().invoke(main, [command[0], *args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert message in result.output
-        assert config.get("data_csv", "") in result.output
+        assert all(path in result.output for path in named), result.output
         assert "Traceback" not in result.output
+        assert tree_outside(tmp_path, out) == before
         stages = json.loads(manifest_path.read_text())["stages"] if manifest_path.exists() else {}
         assert command[0] not in stages
         # a later stage's limits are checked after the liquidity stage completed
-        assert ("liquidity" in stages) == (command[0] != "liquidity")
+        assert ("liquidity" in stages) == (command[0] in ("forecast", "backtest")
+                                           and "out_dir" not in config)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -359,13 +419,13 @@ class TestCommands:
 def ingest_counter(monkeypatch) -> list:
     """Count raw-CSV ingests; returns the list of paths ingested."""
     calls = []
-    ingest = cli.ingest_minute_csv
+    ingest = cli.ingest_csv
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return ingest(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ingest_minute_csv", counting)
+    monkeypatch.setattr(cli, "ingest_csv", counting)
     return calls
 
 
@@ -403,7 +463,7 @@ class TestGridCache:
         def no_ingest(*args, **kwargs):
             raise AssertionError("a completed liquidity stage ingested the raw CSV again")
 
-        monkeypatch.setattr(cli, "ingest_minute_csv", no_ingest)
+        monkeypatch.setattr(cli, "ingest_csv", no_ingest)
         run_liquidity(cfg)
         run_backtest_stage(cfg)
 
@@ -435,7 +495,7 @@ class TestGridCache:
         def forbidden(*args, **kwargs):
             raise AssertionError("a resumed stage rebuilt the series")
 
-        monkeypatch.setattr(cli, "ingest_minute_csv", forbidden)
+        monkeypatch.setattr(cli, "ingest_csv", forbidden)
         monkeypatch.setattr(marketdata, "ingest_minute_csv", forbidden)
         monkeypatch.setattr(marketdata, "read_grids_csv", forbidden)
         monkeypatch.setattr(pipeline, "snapshots_from_grids", forbidden)

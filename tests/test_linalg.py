@@ -1,8 +1,18 @@
-"""BLAS thread pin of the forecast stage."""
+"""Matrix checks and the BLAS thread pin of the forecast stage."""
 
+import numpy as np
 import pytest
 
 from liqcov import linalg
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_symmetric_rejects_non_finite_entries(bad):
+    m = np.eye(2)
+    linalg.check_symmetric(m, "m")
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="matrix 'm' has non-finite entries"):
+        linalg.check_symmetric(m, "m")
 
 
 class FakeOpenBlas:

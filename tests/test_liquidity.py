@@ -296,7 +296,11 @@ class TestSnapshot:
         assert len(calls) == 4
         monkeypatch.setattr(liquidity, "liquidity_adjusted_minutes", adjust)
         assert snap.asset_days == tuple(asset_day(g) for g in grids)
-        assert np.array_equal(snap.sigma_tt_adj, intraday_covariance(grids, adjusted=True))
+        # the adjusted minute returns, raw for the degenerate asset
+        x = np.column_stack([g.returns if d.degenerate else adjust(g.returns, g.dollar_volume)[0]
+                             for g, d in zip(grids, snap.asset_days)])
+        xc = x - x.mean(axis=0)
+        assert np.array_equal(snap.sigma_tt_adj, 0.5 * (xc.T @ xc + (xc.T @ xc).T))
 
     def test_capped_properties(self):
         snap = self.build()

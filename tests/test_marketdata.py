@@ -22,6 +22,7 @@ from liqcov.marketdata import (
     RejectedDay,
     daily_compound_return,
     group_by_day,
+    ingest_csv,
     ingest_minute_csv,
     ingest_tick_csv,
     read_grids_csv,
@@ -42,6 +43,10 @@ def minute_csv(tmp_path, rows):
 
 def stamp(day, minute):
     return f"2021-03-{day:02d}T00:{minute:02d}:00Z"
+
+
+def session_start(spec, day):
+    return dt.datetime.combine(day, spec.day_boundary, tzinfo=UTC)
 
 
 class TestIngest:
@@ -183,7 +188,7 @@ def _random_minute_rows(seed, spec, n_symbols=3, n_days=6):
     for s in range(n_symbols):
         price = 100.0 * (s + 1)
         for d in range(n_days):
-            start = spec.session_start(first + dt.timedelta(days=d))
+            start = session_start(spec, first + dt.timedelta(days=d))
             # day 1 of every symbol is rejected, day 2 keeps a gap below the
             # limit, the rest lose a random handful of minutes
             drop = {1: 0.5, 2: 0.1}.get(d, rng.choice((0.0, 0.05, 0.4)))
@@ -201,7 +206,7 @@ def _random_minute_rows(seed, spec, n_symbols=3, n_days=6):
 
 class TestIngestOracle:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("spec", [CalendarSpec.crypto(30), CalendarSpec.equity(30)],
+    @pytest.mark.parametrize("spec", [CalendarSpec.crypto(30), CalendarSpec(30, dt.time(13, 30))],
                              ids=["crypto-00:00", "equity-13:30"])
     def test_matches_nested_dict_oracle(self, tmp_path, seed, spec):
         path = minute_csv(tmp_path, _random_minute_rows(seed, spec))
@@ -393,7 +398,7 @@ def _locate_oracle(spec, ts):
     b = spec.day_boundary
     shifted = ts - dt.timedelta(seconds=b.hour * 3600 + b.minute * 60 + b.second)
     day = shifted.date()
-    minute = int((ts - spec.session_start(day)).total_seconds() // 60)
+    minute = int((ts - session_start(spec, day)).total_seconds() // 60)
     return (day, minute) if 0 <= minute < spec.minutes_per_day else None
 
 
@@ -624,6 +629,68 @@ class TestIngestTickCsv:
             ingest_tick_csv(path, CalendarSpec.crypto(3))
 
 
+class TestIngestCsv:
+    """ingest_csv picks the reader from the header row."""
+
+    # the same rows under either header: minute bars keep a minute's last
+    # volume, ticks sum price * size, and AAA's second day is rejected only
+    # as minute bars
+    ROWS = [f"{stamp(1, m)},{sym},{10.0 + m + k!r},{2.0 + k!r}"
+            for sym in ("AAA", "BBB") for m in range(4) for k in range(2)]
+    ROWS += [f"{stamp(2, 0)},AAA,11.0,1.0", f"{stamp(2, 0)},BBB,12.0,3.0",
+             f"{stamp(2, 1)},BBB,12.5,3.0", f"{stamp(2, 2)},BBB,13.0,3.0",
+             f"{stamp(2, 3)},BBB,12.0,3.0"]
+
+    @staticmethod
+    def outcome(result):
+        return ([(g.symbol, g.date, g.returns.tobytes(), g.dollar_volume.tobytes())
+                 for g in result.grids], result.rejected)
+
+    @pytest.mark.parametrize("reader, header", [
+        (ingest_minute_csv, "timestamp,symbol,close,dollar_volume"),
+        (ingest_minute_csv, '"Timestamp", SYMBOL ,close,Dollar_Volume'),
+        (ingest_tick_csv, "timestamp,symbol,price,size"),
+        (ingest_tick_csv, "TIMESTAMP,symbol, price ,size"),
+    ], ids=["minute", "minute-spelled", "tick", "tick-spelled"])
+    def test_header_picks_the_reader(self, tmp_path, reader, header):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([header] + self.ROWS) + "\n")
+        spec = CalendarSpec.crypto(4)
+        got = self.outcome(ingest_csv(path, spec))
+        assert got == self.outcome(reader(path, spec))
+        other = ingest_tick_csv if reader is ingest_minute_csv else ingest_minute_csv
+        with pytest.raises(CsvParseError, match="line 1: expected header"):
+            other(path, spec)
+
+    def test_readers_differ_on_these_rows(self, tmp_path):
+        spec = CalendarSpec.crypto(4)
+        outcomes = []
+        for header in ("timestamp,symbol,close,dollar_volume", "timestamp,symbol,price,size"):
+            path = tmp_path / "data.csv"
+            path.write_text("\n".join([header] + self.ROWS) + "\n")
+            outcomes.append(self.outcome(ingest_csv(path, spec)))
+        assert outcomes[0] != outcomes[1]
+        assert outcomes[0][1] and not outcomes[1][1]
+
+    @pytest.mark.parametrize("header", [
+        "timestamp,symbol,close", "timestamp,symbol,price,dollar_volume",
+        "symbol,timestamp,close,dollar_volume", "timestamp,symbol,close,dollar_volume,x",
+        "", "2021-03-01T00:00:00Z,AAA,10.0,1.0",
+    ])
+    def test_other_header_fails_at_line_1(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([header] + self.ROWS) + "\n")
+        with pytest.raises(CsvParseError, match="line 1: expected header "
+                           "timestamp,symbol,close,dollar_volume .* timestamp,symbol,price,size"):
+            ingest_csv(path, CalendarSpec.crypto(4))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(CsvParseError, match="line 1: empty file"):
+            ingest_csv(path, CalendarSpec.crypto(4))
+
+
 @pytest.mark.parametrize("ingest, header", [
     (ingest_minute_csv, "timestamp,symbol,close,dollar_volume"),
     (ingest_tick_csv, "timestamp,symbol,price,size"),
@@ -636,7 +703,7 @@ def test_out_of_range_timestamp_reports_line_number(tmp_path, ingest, header, ra
     path = tmp_path / "data.csv"
     path.write_text(f"{header}\n2021-03-01T14:00:00Z,AAA,100.0,1.0\n{raw},AAA,100.0,1.0\n")
     with pytest.raises(CsvParseError, match="line 3"):
-        ingest(path, CalendarSpec.equity())
+        ingest(path, CalendarSpec(390, dt.time(13, 30)))
 
 
 class TestCompoundReturn:

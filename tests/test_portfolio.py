@@ -99,6 +99,16 @@ class TestSolveMv:
         with pytest.raises(ValueError, match="lambda"):
             solve_mv(MvProblem(np.array([0.01]), np.eye(1), 0.0))
 
+    @pytest.mark.parametrize("mu, lam, message", [
+        ([0.01, np.nan], 1.0, "mu has non-finite entries"),
+        ([0.01, np.inf], 1.0, "mu has non-finite entries"),
+        ([0.01, 0.02], np.nan, "lambda must be positive and finite"),
+        ([0.01, 0.02], np.inf, "lambda must be positive and finite"),
+    ])
+    def test_rejects_non_finite_inputs(self, mu, lam, message):
+        with pytest.raises(ValueError, match=message):
+            solve_mv(MvProblem(np.array(mu), np.eye(2), lam))
+
 
 class TestRiskAversion:
     def test_analytic(self):

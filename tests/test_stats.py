@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import t as student_t
 
 from liqcov.stats import (
+    HISTOGRAM_BINS,
     coefficient_tests,
     descriptive_table,
     determinant_tests,
@@ -96,8 +97,8 @@ class TestDeterminantTests:
         rng = np.random.default_rng(5)
         adjusted = {k: rng.normal(5.0, 1.0, 400) for k in ("dcc", "adcc", "dcc_best")}
         regular = {k: adjusted[k] - 3.0 + rng.normal(0, 0.1, 400) for k in adjusted}
-        rows = determinant_tests(regular, adjusted, kinds=("dcc", "adcc", "dcc_best"))
-        assert len(rows) == 3
+        rows = determinant_tests(regular, adjusted)
+        assert [row.label for row in rows] == ["dcc t-test", "adcc t-test", "dcc_best t-test"]
         for row in rows:
             assert row.test.p_less < 1e-6
             assert row.direction == "up"
@@ -112,7 +113,7 @@ class TestDeterminantTests:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             determinant_tests(
-                {"dcc": np.ones(10)}, {"dcc": np.ones(11)}, kinds=("dcc",)
+                {"dcc": np.ones(10)}, {"dcc": np.ones(11)}
             )
 
 
@@ -151,25 +152,26 @@ class TestCoefficientTests:
 
 class TestHistogram:
     def test_single_value_one_bin(self):
-        counts, _ = histogram(np.full(30, 4.2), bin_count=10)
+        counts, _ = histogram(np.full(30, 4.2))
+        assert counts.shape == (HISTOGRAM_BINS,)
         assert counts.sum() == 30
         assert np.count_nonzero(counts) == 1
 
     def test_uniform_multinomial(self):
         rng = np.random.default_rng(9)
-        n, bins = 10_000, 10
-        counts, _ = histogram(rng.uniform(0, 10, n), bin_count=bins)
+        n, bins = 10_000, HISTOGRAM_BINS
+        counts, _ = histogram(rng.uniform(0, 10, n))
         assert counts.sum() == n
         expected = n / bins
         sigma = np.sqrt(n * (1 / bins) * (1 - 1 / bins))
         assert np.all(np.abs(counts - expected) < 3 * sigma)
 
     def test_cap_lands_in_last_bin(self):
-        counts, _ = histogram(np.array([10.0, 10.0, 0.0]), bin_count=5)
+        counts, _ = histogram(np.array([10.0, 10.0, 0.0]))
         assert counts[-1] == 2 and counts[0] == 1
 
     def test_svg_emitter_deterministic(self, tmp_path):
-        counts, edges = histogram(np.array([1.0, 2.0, 9.0]), bin_count=5)
+        counts, edges = histogram(np.array([1.0, 2.0, 9.0]))
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         write_histogram_svg(p1, counts, edges, title="x")
         write_histogram_svg(p2, counts, edges, title="x")

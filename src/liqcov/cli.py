@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import click
@@ -522,9 +523,15 @@ def cmd_report(config_path, **overrides):
 
 def _read_matrix(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except (ValueError, OSError) as exc:     # a non-numeric cell, a ragged row
         raise click.ClickException(f"cannot read matrix {path}: {exc}") from None
+    if matrix.size == 0:
+        raise click.ClickException(f"cannot read matrix {path}: no data")
+    return matrix
 
 
 @main.command("condsvd-debug")

@@ -10,8 +10,12 @@ on the standardized residuals x_t (m_t keeps only their negative parts),
 again by Gaussian quasi-MLE.  Both stages minimize the per-observation
 negative log-likelihood with L-BFGS-B and exact gradients, once from each of
 two (GARCH) or three (correlation) fixed starts; a third GARCH start or a
-restart barely moved a fit (``_fit_box``).  The fits run on box-bounded
-coordinates in which positivity and the stationarity simplex are the box:
+restart barely moved a fit (``_fit_box``).  Given the fit of a related
+window, a correlation fit is instead solved once from that fit's optimum
+(a warm start); the GARCH fits always use their fixed starts, as warm
+starts there missed the better optimum in many short windows.  The fits run
+on box-bounded coordinates in which positivity and the stationarity simplex
+are the box:
 
     GARCH:  p = alpha + beta in [0, cap], r = alpha / p in [0, 1],
             u = log(omega / var_s) in [-25, 5]
@@ -196,11 +200,14 @@ def _corr_starts(kind: str) -> list[tuple[float, ...]]:
     return starts
 
 
-def _nested_start(dcc_fit: DccFit) -> np.ndarray:
-    """The DCC optimum as an ADCC box point, with g = 0."""
-    rem = _CORR_CAP - dcc_fit.b
-    v2 = dcc_fit.a / rem if rem > 0.0 else 0.0
-    return np.clip([dcc_fit.b / _CORR_CAP, v2, 0.0], 0.0, 1.0)
+def _box_point(fit: DccFit, size: int) -> np.ndarray:
+    """fit's (a, b, g) as a point of the size-coordinate box: the first two
+    coordinates for DCC, all three for ADCC (a DCC fit's g = 0 gives v3 = 0)."""
+    rem = _CORR_CAP - fit.b
+    v2 = fit.a / rem if rem > 0.0 else 0.0
+    rem_g = rem - fit.a
+    v3 = fit.g / rem_g if rem_g > 0.0 else 0.0
+    return np.clip([fit.b / _CORR_CAP, v2, v3][:size], 0.0, 1.0)
 
 
 def _standardize(residuals: np.ndarray, garch: tuple[Garch11Params, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +227,8 @@ def fit_garch_stage(residuals) -> tuple[Garch11Params, ...]:
 
 def fit_dcc(residuals, kind: str = "dcc", *,
             garch: tuple[Garch11Params, ...] | None = None,
-            nested: DccFit | None = None) -> DccFit:
+            nested: DccFit | None = None,
+            warm: DccFit | None = None) -> DccFit:
     """Two-stage fit of the conditional covariance dynamics.
 
     residuals is (n_obs, n_assets).  kind selects the symmetric ("dcc") or
@@ -228,6 +236,14 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     stage-one fit of these residuals (``fit_garch_stage``), which does not
     depend on kind, so fits of both kinds can share it.  Non-convergence
     falls back to (a, b) = (0.02, 0.95) with the fallback flag set.
+
+    warm, when given, is a fit of the same kind on a related window (the
+    previous anchor's): the correlation fit is then solved once, from its
+    optimum, instead of from the fixed starts.  The fixed starts are still
+    used after a warm fit that fell back, which is no optimum, and after
+    one with a = g = 0: that fit has no correlation dynamics, so its b is
+    not identified, and at b on the cap no coordinate of the box moves
+    the likelihood, which would hold the solve at its start.
 
     nested, for an "adcc" fit, is the "dcc" fit of the same residuals and
     GARCH stage.  ADCC with g = 0 is DCC, so an ADCC fit that ends below
@@ -238,6 +254,8 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         raise ValueError(f"kind must be 'dcc' or 'adcc', got {kind!r}")
     if nested is not None and (kind, nested.kind) != ("adcc", "dcc"):
         raise ValueError("only an 'adcc' fit nests a 'dcc' fit")
+    if warm is not None and warm.kind != kind:
+        raise ValueError(f"a {kind!r} fit cannot start from a {warm.kind!r} fit")
     e = np.ascontiguousarray(residuals, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError("residuals must be (n_obs, n_assets)")
@@ -260,24 +278,35 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     np.fill_diagonal(obar, 1.0)
     nbar = np.ascontiguousarray(symmetrize(neg.T @ neg / n))
 
+    # the kernel's value and last Q at each box point the solves evaluate,
+    # so that the point a solve returns is scored without another pass
+    evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
+
     def objective(x):
         params, jac = _corr_from_x(x)
-        nll, grad, _ = corr_negloglik(xi, neg, obar, nbar, *params)
+        nll, grad, q_last = corr_negloglik(xi, neg, obar, nbar, *params)
+        evaluated[x.tobytes()] = nll, q_last
         return nll / n, (grad / n) @ jac
 
     vol_term = 0.5 * float(np.sum(np.log(h2)))
 
-    def score(a, b, g):
-        """The full log-likelihood at (a, b, g), and the last Q."""
-        nll_corr, _, q_last = corr_negloglik(xi, neg, obar, nbar, a, b, g)
+    def score(params, x=None):
+        """The full log-likelihood at (a, b, g), and the last Q; read from
+        the evaluation at box point x where a solve made one."""
+        seen = None if x is None else evaluated.get(x.tobytes())
+        nll_corr, q_last = seen or corr_negloglik(xi, neg, obar, nbar, *params)[::2]
         return float(-(nll_corr + 0.5 * n * dim * LOG_2PI + vol_term)), q_last
 
-    bounds = [(0.0, 1.0)] * (2 if kind == "dcc" else 3)
+    size = 2 if kind == "dcc" else 3
+    bounds = [(0.0, 1.0)] * size
     fallback = False
+    best_x = None
     if dim == 1:
         a, b, g = 0.0, 0.0, 0.0
     else:
-        best_x = _fit_box(objective, _corr_starts(kind), bounds)
+        warm_start = warm is not None and not warm.fallback and warm.a + warm.g > 0.0
+        starts = [_box_point(warm, size)] if warm_start else _corr_starts(kind)
+        best_x = _fit_box(objective, starts, bounds)
         if best_x is None:
             logger.warning("%s optimizer failed; boundary fallback used", kind)
             a, b = _DCC_FALLBACK
@@ -286,14 +315,15 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         else:
             (a, b, g), _ = _corr_from_x(best_x)
 
-    loglik, q_last = score(a, b, g)
+    loglik, q_last = score((a, b, g), best_x)
     if not np.isfinite(loglik):
         # fallback parameters must at least produce a valid recursion
         a, b, g, fallback = 0.0, 0.0, 0.0, True
-        loglik, q_last = score(a, b, g)
+        loglik, q_last = score((a, b, g))
     if nested is not None and loglik < nested.loglik - _NESTING_RTOL * abs(nested.loglik):
-        params, _ = _corr_from_x(_minimize_fd(objective, _nested_start(nested), bounds).x)
-        nested_loglik, nested_q = score(*params)
+        nested_x = _minimize_fd(objective, _box_point(nested, size), bounds).x
+        params, _ = _corr_from_x(nested_x)
+        nested_loglik, nested_q = score(params, nested_x)
         if nested_loglik > loglik:
             (a, b, g), loglik, q_last, fallback = params, nested_loglik, nested_q, False
 

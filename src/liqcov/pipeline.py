@@ -10,8 +10,16 @@ prior and once on liquidity-adjusted returns with the adjusted prior.
 
 With a refit stride the coefficients stay fixed between anchors while the
 recursion states absorb each newly observed residual, so a forecast still
-comes out every day.  Each anchor's fit depends on no other anchor, so the
-anchors are fitted in one forked worker process per usable CPU.
+comes out every day.
+
+Consecutive windows share all but a stride of their days, so the anchors
+are cut into fixed blocks of BLOCK_ANCHORS, and within a block each
+pipeline's correlation fits start from that pipeline's optima at the
+previous anchor (the block's first anchor, and the anchor after a failed
+one, solve from the fixed starts).  Each (block, pipeline) chain is one
+task for a forked worker process, one per usable CPU; the records are then
+assembled per anchor from both pipelines' fits.  The blocks depend only on
+the anchors, so every result is the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ from .marketdata import MinuteGrid, group_by_day
 logger = logging.getLogger(__name__)
 
 PIPELINES = ("regular", "adjusted")
+
+# Anchors per warm-start chain: the first anchor of each block of this many
+# consecutive anchors fits cold.
+BLOCK_ANCHORS = 16
 
 
 @dataclass(frozen=True)
@@ -195,35 +207,71 @@ class ForecastSet:
         }
 
 
-def _fit_window_pipeline(q_window: np.ndarray):
-    """Lag, rank, ECM fit, one GARCH stage and both correlation fits for one window."""
+def _fit_window_pipeline(q_window: np.ndarray, warm: tuple | None = None):
+    """Lag, rank, ECM fit, one GARCH stage and both correlation fits for one
+    window; warm, when given, is the (dcc, adcc) pair whose optima start the
+    correlation fits."""
     # a lag that left the variance fits under their minimum would fail the window
     lag = vecm_mod.select_lag(
         q_window, max_lag=min(vecm_mod.MAX_LAG, q_window.shape[0] - dcc_mod.GARCH_MIN_OBS))
     fit = vecm_mod.fit_vecm(q_window, lag)
     garch = dcc_mod.fit_garch_stage(fit.residuals)
-    dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch)
-    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch, nested=dcc_fit)
+    warm_dcc, warm_adcc = warm or (None, None)
+    dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch, warm=warm_dcc)
+    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch, nested=dcc_fit, warm=warm_adcc)
     return fit, dcc_fit, adcc_fit
+
+
+def _fit_side(series: PortfolioSeries, pipeline: str, t: int, window_days: int,
+              warm: tuple | None = None):
+    """One pipeline's (VecmFit, DccFit, DccFit) at anchor t.  The VECM
+    residuals, which no record needs, are dropped before the fits leave a
+    worker."""
+    q_src = series.q if pipeline == "regular" else series.q_adj
+    fit, dcc_fit, adcc_fit = _fit_window_pipeline(q_src[t - window_days + 1:t + 1], warm)
+    stripped = dataclasses.replace(fit, residuals=np.empty((0, fit.residuals.shape[1])))
+    return stripped, dcc_fit, adcc_fit
+
+
+def _fit_chain(series: PortfolioSeries, pipeline: str, anchors: range, window_days: int) -> list:
+    """_fit_side's fits at each of a block's anchors, or the message of the
+    domain error that failed the anchor.
+
+    The block's first anchor, and an anchor after a failed one, fit cold;
+    every other anchor warm-starts its correlation fits from the previous
+    anchor's.  A message survives the trip back from a worker whether or
+    not its exception would pickle.
+    """
+    out: list = []
+    warm = None
+    for t in anchors:
+        try:
+            fits = _fit_side(series, pipeline, t, window_days, warm)
+        except ValueError as exc:
+            out.append(str(exc))
+            warm = None
+            continue
+        out.append(fits)
+        warm = fits[1:]
+    return out
 
 
 def _run_anchor(
     series: PortfolioSeries,
     t: int,
-    window_days: int,
     stride: int,
     tau: float,
+    fits: tuple,
 ) -> tuple[list[ForecastRecord], list[WindowRecord]]:
-    """Fit at anchor t and forecast days t+1 .. t+stride (clipped)."""
-    lo = t - window_days + 1
+    """Forecast days t+1 .. t+stride (clipped) from the fits at anchor t,
+    one (VecmFit, DccFit, DccFit) per pipeline in PIPELINES order."""
     last_day = min(t + stride - 1, series.n_days - 2)
 
     sides = []
     windows: list[WindowRecord] = []
-    for pipeline in PIPELINES:
+    for pipeline, (fit, dcc_fit, adcc_fit) in zip(PIPELINES, fits):
         q_src, priors = ((series.q, series.sigma_tt) if pipeline == "regular"
                          else (series.q_adj, series.sigma_tt_adj))
-        fit, dcc_fit, adcc_fit = _fit_window_pipeline(q_src[lo:t + 1])
         best_kind = dcc_mod.select_best(dcc_fit, adcc_fit).kind
         sides.append((pipeline, q_src, priors, fit, {"dcc": dcc_fit, "adcc": adcc_fit}, best_kind))
         windows.append(WindowRecord(
@@ -284,13 +332,14 @@ def run_forecasts(
     """Produce one ForecastRecord per out-of-sample day, pipeline, and kind.
 
     A failed anchor drops its days from both pipelines (keeping the two
-    sides aligned) and is logged on the result.  Only domain errors
-    (ValueError and its subclasses: too-short windows, singular matrices,
-    degenerate days, LinAlgError) fail an anchor; any other exception is a
-    bug and propagates.  The anchors are fitted with BLAS on one thread,
-    in worker processes where more than one CPU is usable (see
-    _fit_anchors), and collected in date order; the result is the same
-    for any number of workers.
+    sides aligned) and is logged on the result with the regular side's
+    error if that side failed, else the adjusted side's.  Only domain
+    errors (ValueError and its subclasses: too-short windows, singular
+    matrices, degenerate days, LinAlgError) fail an anchor; any other
+    exception is a bug and propagates.  The anchors are fitted with BLAS
+    on one thread, in worker processes where more than one CPU is usable
+    (see _fit_anchors), and collected in date order; the result is the
+    same for any number of workers.
 
     Hard limits are checked before the first fit: no more assets than the
     trace test has critical values for, a window of at least 10 days per
@@ -316,15 +365,19 @@ def run_forecasts(
     anchors = range(window_days - 1, n - 1, stride)
     out = ForecastSet()
     with single_blas_thread():
-        results = _fit_anchors(series, anchors, window_days, stride, tau)
-    for t, result in zip(anchors, results):
-        if isinstance(result, str):
-            logger.warning("forecast anchor %s failed: %s", series.dates[t], result)
-            out.failures.append((series.dates[t], result))
-            continue
-        records, windows = result
-        out.records.extend(records)
-        out.windows.extend(windows)
+        for t, sides in zip(anchors, _fit_anchors(series, anchors, window_days)):
+            failed = next((side for side in sides if isinstance(side, str)), None)
+            if failed is None:
+                try:
+                    records, windows = _run_anchor(series, t, stride, tau, sides)
+                except ValueError as exc:
+                    failed = str(exc)
+            if failed is not None:
+                logger.warning("forecast anchor %s failed: %s", series.dates[t], failed)
+                out.failures.append((series.dates[t], failed))
+                continue
+            out.records.extend(records)
+            out.windows.extend(windows)
     return out
 
 
@@ -332,18 +385,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _fit_anchor(series, window_days, stride, tau, t):
-    """_run_anchor at t, or the message of the domain error that failed it.
-
-    A message survives the trip back from a worker whether or not its
-    exception would pickle.
-    """
-    try:
-        return _run_anchor(series, t, window_days, stride, tau)
-    except ValueError as exc:
-        return str(exc)
 
 
 # Set in each worker process by the pool initializer, never in the caller.
@@ -355,28 +396,37 @@ def _set_worker_series(series: PortfolioSeries) -> None:
     _worker_series = series
 
 
-def _fit_worker_anchor(window_days, stride, tau, t):
-    return _fit_anchor(_worker_series, window_days, stride, tau, t)
+def _fit_worker_chain(window_days, pipeline, anchors):
+    return _fit_chain(_worker_series, pipeline, anchors, window_days)
 
 
-def _fit_anchors(series, anchors, window_days, stride, tau) -> list:
-    """_fit_anchor's result for every anchor, in anchor order.
+def _fit_anchors(series, anchors, window_days) -> list[tuple]:
+    """The fits of every anchor, in anchor order: per anchor, one _fit_chain
+    result per pipeline, in PIPELINES order.
 
-    With more than one usable CPU the anchors are shared among
-    min(CPUs, anchors) forked workers, which inherit the series (set once by
-    the pool initializer), the caller's BLAS pin and any patched module
-    attribute.  Otherwise they run in this process.  Every worker has exited
-    when this returns or raises.
+    The anchors are cut into fixed blocks of BLOCK_ANCHORS, so that which
+    fit warm-starts from which depends only on the anchors, and each
+    (block, pipeline) chain is one task.  With more than one usable CPU the
+    tasks are shared among min(CPUs, tasks) forked workers, which inherit
+    the series (set once by the pool initializer), the caller's BLAS pin
+    and any patched module attribute.  Otherwise they run in this process.
+    Every worker has exited when this returns or raises.
     """
-    workers = min(_usable_cpus(), len(anchors))
+    tasks = [(pipeline, anchors[i:i + BLOCK_ANCHORS])
+             for i in range(0, len(anchors), BLOCK_ANCHORS) for pipeline in PIPELINES]
+    workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(partial(_fit_anchor, series, window_days, stride, tau), anchors))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_worker_series, initargs=(series,))
-    try:
-        return list(pool.map(partial(_fit_worker_anchor, window_days, stride, tau), anchors))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        chains = [_fit_chain(series, pipeline, block, window_days) for pipeline, block in tasks]
+    else:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_set_worker_series, initargs=(series,))
+        try:
+            chains = list(pool.map(partial(_fit_worker_chain, window_days), *zip(*tasks)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    width = len(PIPELINES)
+    blocks = [chains[i:i + width] for i in range(0, len(chains), width)]
+    return [sides for block in blocks for sides in zip(*block)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ CSV output (pinned by sha256 in ``tests/test_synthetic.py``).
 from __future__ import annotations
 
 import datetime as dt
+import errno
+import os
 
 import numpy as np
 
@@ -37,8 +39,15 @@ def write_synthetic_csv(
     interrupted write leaves path as it was.  Raises ValueError, before
     writing anything, unless n_assets >= 1, n_days >= 1 and
     2 <= minutes_per_day <= 1440: a day of more minutes would run into the
-    next day, and ingest needs at least two minutes for a return.
+    next day, and ingest needs at least two minutes for a return.  Raises
+    IsADirectoryError or FileNotFoundError, before generating any data, if
+    path is a directory or its parent directory does not exist.
     """
+    target = os.fspath(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(target))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), target)
     if n_assets < 1:
         raise ValueError(f"n_assets must be >= 1, got {n_assets}")
     if n_days < 1:

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liqcov import cli, marketdata, pipeline, portfolio, stats
+from liqcov import cli, marketdata, pipeline, portfolio, stats, synthetic
 from liqcov.cli import RunConfig, main, run_backtest_stage, run_liquidity
 from liqcov.synthetic import write_synthetic_csv
 
@@ -295,6 +296,7 @@ class TestCommands:
          "cannot read matrix"),
         (["condsvd-debug", matrix_file("1,0\n0"), matrix_file("1,0\n0")], {}, None,
          "cannot read matrix"),
+        (["condsvd-debug", matrix_file(""), matrix_file("")], {}, None, ": no data"),
     ], ids=["variants", "boundary-9am", "boundary-25h", "minutes-1", "minutes-3000",
             "forecast-window", "backtest-window-v1", "backtest-window-v5",
             "stages-list", "entry-without-files", "minutes-str", "window-str", "window-float",
@@ -302,7 +304,8 @@ class TestCommands:
             "variants-float", "data-directory", "data-not-utf8", "config-int", "config-null",
             "config-list", "config-str", "liquidity-out-file", "forecast-out-file",
             "backtest-out-file", "report-out-file", "synth-out-directory",
-            "synth-out-missing-directory", "condsvd-non-numeric", "condsvd-ragged"])
+            "synth-out-missing-directory", "condsvd-non-numeric", "condsvd-ragged",
+            "condsvd-empty"])
     def test_misuse_exits_without_traceback(self, data_csv, tmp_path, command, config,
                                             manifest, message):
         out = tmp_path / "out"
@@ -342,6 +345,28 @@ class TestCommands:
         # a later stage's limits are checked after the liquidity stage completed
         assert ("liquidity" in stages) == (command[0] in ("forecast", "backtest")
                                            and "out_dir" not in config)
+
+    def test_empty_matrix_prints_no_warning(self, tmp_path):
+        path = tmp_path / "A.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, ["condsvd-debug", str(path), str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot read matrix {path}: no data\n"
+
+    @pytest.mark.parametrize("out, message", [
+        (str, "Is a directory"),
+        (lambda tmp: str(tmp / "missing" / "data.csv"), "No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_synth_rejects_its_path_before_generating(self, tmp_path, monkeypatch, out, message):
+        def generation_started(*args, **kwargs):
+            raise AssertionError("synthetic data generation started")
+
+        monkeypatch.setattr(synthetic.np.random, "default_rng", generation_started)
+        result = CliRunner().invoke(main, ["synth", "--out", out(tmp_path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot write {out(tmp_path)}: {message}\n"
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -784,16 +809,16 @@ class TestBacktestResume:
         cfg = make_config(data_csv, tmp_path / "out")     # anchors 69, 77, ..., 101
         # `failed` below only sees anchors fitted in this process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        run_anchor = pipeline._run_anchor
+        fit_side = pipeline._fit_side
         failed = []
 
-        def failing(series, t, *args):
+        def failing(series, side, t, *args):
             if t == 77:
                 failed.append(series.dates[t])
                 raise ValueError("forced anchor failure")
-            return run_anchor(series, t, *args)
+            return fit_side(series, side, t, *args)
 
-        monkeypatch.setattr(pipeline, "_run_anchor", failing)
+        monkeypatch.setattr(pipeline, "_fit_side", failing)
         cli.run_forecast(cfg)
         lines = (tmp_path / "out" / "forecast_failures.csv").read_text().splitlines()
         assert lines == ["date,message", f"{failed[0].isoformat()},forced anchor failure"]

@@ -341,6 +341,83 @@ def test_dropped_garch_start_never_beats_the_fit(short_windows, monkeypatch):
         assert gain <= 1e-9 * abs(nll_fit), (fit, alt, gain)
 
 
+def test_warm_fits_never_end_below_cold_fits(short_windows):
+    """Chained along consecutive windows as the pipeline chains its anchors,
+    no warm-started correlation fit ends more than 1e-6 (relative) below
+    the cold fit of the same window."""
+    for side in (0, 1):     # regular, adjusted
+        warm = None
+        for window in short_windows[side::2]:
+            _, *cold = pipeline._fit_window_pipeline(window)
+            _, *fits = pipeline._fit_window_pipeline(window, warm)
+            for fit, ref in zip(fits, cold):
+                assert fit.loglik >= ref.loglik - 1e-6 * abs(ref.loglik), (fit, ref)
+            warm = fits
+
+
+@pytest.fixture
+def correlated_residuals():
+    """Two nearby 300-day residual windows and their GARCH stages."""
+    rng = np.random.default_rng(3)
+    corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    e = simulate_dcc(rng, 301, 0.05, 0.9, corr)
+    return [(w, dcc.fit_garch_stage(w)) for w in (e[:300], e[1:])]
+
+
+def test_each_optimum_is_scored_from_its_evaluation(correlated_residuals, monkeypatch):
+    (e, garch), (e_next, garch_next) = correlated_residuals
+    kernel_calls, nfev = [], []
+    kernel, minimize_fd = dcc.corr_negloglik, dcc._minimize_fd
+
+    def counting_kernel(*args):
+        kernel_calls.append(None)
+        return kernel(*args)
+
+    def counting_solve(*args):
+        res = minimize_fd(*args)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(dcc, "corr_negloglik", counting_kernel)
+    monkeypatch.setattr(dcc, "_minimize_fd", counting_solve)
+    dcc_fit = dcc.fit_dcc(e, "dcc", garch=garch)
+    # a nested fit scored above any ADCC optimum forces the nesting re-solve
+    above = dataclasses.replace(dcc_fit, loglik=dcc_fit.loglik + 1.0)
+    dcc.fit_dcc(e, "adcc", garch=garch, nested=above)
+    dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=dcc_fit)
+    assert len(nfev) == 3 + 3 + 1 + 1      # starts, starts and re-solve, warm solve
+    assert len(kernel_calls) == sum(nfev)
+
+
+def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, monkeypatch):
+    (e, garch), (e_next, garch_next) = correlated_residuals
+    prev = {kind: dcc.fit_dcc(e, kind, garch=garch) for kind in ("dcc", "adcc")}
+    x0s = []
+    minimize_fd = dcc._minimize_fd
+
+    def recording(fun, x0, bounds):
+        x0s.append(x0)
+        return minimize_fd(fun, x0, bounds)
+
+    monkeypatch.setattr(dcc, "_minimize_fd", recording)
+    for kind, fit in prev.items():
+        x0s.clear()
+        warm = dcc.fit_dcc(e_next, kind, garch=garch_next, warm=fit)
+        assert len(x0s) == 1
+        params = dcc._corr_from_x(x0s[0])[0]
+        np.testing.assert_allclose(params, (fit.a, fit.b, fit.g), rtol=1e-12, atol=1e-15)
+        cold = dcc.fit_dcc(e_next, kind, garch=garch_next)
+        assert warm.loglik >= cold.loglik - 1e-9 * abs(cold.loglik)
+        # a fallback, or a fit with no dynamics, is no optimum to start from
+        for unusable in (dataclasses.replace(fit, fallback=True),
+                         dataclasses.replace(fit, a=0.0, g=0.0)):
+            x0s.clear()
+            dcc.fit_dcc(e_next, kind, garch=garch_next, warm=unusable)
+            assert len(x0s) == 3
+    with pytest.raises(ValueError, match="cannot start from"):
+        dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=prev["adcc"])
+
+
 class TestForecast:
     def test_static_model_forecasts_obar(self):
         rng = np.random.default_rng(7)

@@ -57,7 +57,10 @@ def test_stride_reduces_fits_but_not_coverage(series):
     assert len(fset.records) == out_days * 2 * 3
 
 
-def test_stride_anchor_days_match_per_day_refit(series):
+def test_stride_anchor_days_match_per_day_refit(series, monkeypatch):
+    # every anchor fits cold: a warm start follows the previous anchor,
+    # which the two strides do not share
+    monkeypatch.setattr(pipeline, "BLOCK_ANCHORS", 1)
     full = run_forecasts(series, window_days=80, stride=1)
     strided = run_forecasts(series, window_days=80, stride=5)
     full_by_key = {(r.date, r.pipeline, r.kind): r for r in full.records}
@@ -229,23 +232,24 @@ def bits(record):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_worker_processes_match_the_in_process_run(series, monkeypatch, stride):
-    run_anchor = pipeline._run_anchor
+    fit_side = pipeline._fit_side
     parent_calls = []
 
-    def singular_at_103(series, t, *args):
+    def singular_at_103(series, side, t, *args):
         parent_calls.append(t)      # a worker appends to its own copy
         if t == 103:
             raise SingularMatrixError("Sigma", "forced")
-        return run_anchor(series, t, *args)
+        return fit_side(series, side, t, *args)
 
-    monkeypatch.setattr(pipeline, "_run_anchor", singular_at_103)
+    monkeypatch.setattr(pipeline, "_fit_side", singular_at_103)
     use_cpus(monkeypatch, {0})
     serial = run_forecasts(series, window_days=100, stride=stride)
-    assert parent_calls == list(range(99, 119, stride))
+    # each anchor once per pipeline
+    assert sorted(parent_calls) == sorted(2 * list(range(99, 119, stride)))
     use_cpus(monkeypatch, {0, 1})
     pooled = run_forecasts(series, window_days=100, stride=stride)
     if "fork" in multiprocessing.get_all_start_methods():
-        assert len(parent_calls) == len(range(99, 119, stride))
+        assert len(parent_calls) == 2 * len(range(99, 119, stride))
 
     message = "matrix 'Sigma' is singular beyond the regularization floor: forced"
     assert serial.failures == pooled.failures == [(series.dates[103], message)]
@@ -277,3 +281,74 @@ def test_domain_errors_drop_anchors(series, monkeypatch):
     assert not fset.records
     assert len(fset.failures) == 4
     assert all(msg == "window too short" for _, msg in fset.failures)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_warm_chains_give_the_same_run_on_one_and_two_cpus(series, monkeypatch, stride):
+    use_cpus(monkeypatch, {0})
+    serial = run_forecasts(series, window_days=100, stride=stride)
+    use_cpus(monkeypatch, {0, 1})
+    pooled = run_forecasts(series, window_days=100, stride=stride)
+    assert not serial.failures and not pooled.failures
+    assert [bits(r) for r in serial.records] == [bits(r) for r in pooled.records]
+    assert [bits(w) for w in serial.windows] == [bits(w) for w in pooled.windows]
+
+
+def corr_fits(fset, pipeline_name):
+    """Each window's correlation coefficients and log-likelihoods as bytes, by anchor date."""
+    return {w.anchor_date: np.array([w.dcc_a, w.dcc_b, w.dcc_loglik, w.adcc_a, w.adcc_b,
+                                     w.adcc_g, w.adcc_loglik]).tobytes()
+            for w in fset.windows if w.pipeline == pipeline_name}
+
+
+def cold_corr_fits(series, t, pipeline_name, window_days=100):
+    """corr_fits' entry for a cold _fit_window_pipeline fit at anchor t."""
+    q = series.q if pipeline_name == "regular" else series.q_adj
+    _, d, a = pipeline._fit_window_pipeline(q[t - window_days + 1:t + 1])
+    return np.array([d.a, d.b, d.loglik, a.a, a.b, a.g, a.loglik]).tobytes()
+
+
+def test_each_block_starts_cold_and_warms_along(series, monkeypatch):
+    use_cpus(monkeypatch, {0})      # the spy below only sees this process
+    starts = []
+    fit_dcc = dcc.fit_dcc
+
+    def spy(residuals, kind, **kwargs):
+        starts.append((kind, kwargs.get("warm") is not None))
+        return fit_dcc(residuals, kind, **kwargs)
+
+    monkeypatch.setattr(dcc, "fit_dcc", spy)
+    fset = run_forecasts(series, window_days=100, stride=1)
+    assert pipeline.BLOCK_ANCHORS == 16 and len(fset.windows) == 2 * 20
+    # two blocks, anchors 99..114 and 115..118; a chain per block and pipeline
+    blocks = [[False] + [True] * 15, [False] + [True] * 3]
+    assert starts == [(kind, warm) for block in blocks for _ in pipeline.PIPELINES
+                      for warm in block for kind in ("dcc", "adcc")]
+    for name in pipeline.PIPELINES:
+        for t in (99, 115):
+            assert corr_fits(fset, name)[series.dates[t]] == cold_corr_fits(series, t, name)
+
+
+def test_failed_anchor_restarts_its_pipeline_cold(series, monkeypatch):
+    use_cpus(monkeypatch, {0, 1})
+    clean = run_forecasts(series, window_days=100, stride=1)
+    fit_side = pipeline._fit_side
+
+    def failing(series, side, t, *args):
+        if (side, t) == ("adjusted", 105):
+            raise SingularMatrixError("Sigma", "forced")
+        return fit_side(series, side, t, *args)
+
+    monkeypatch.setattr(pipeline, "_fit_side", failing)
+    fset = run_forecasts(series, window_days=100, stride=1)
+    assert [date for date, _ in fset.failures] == [series.dates[105]]
+    assert series.dates[106] not in {r.date for r in fset.records}
+    assert len(fset.windows) == len(clean.windows) - 2
+    assert corr_fits(fset, "adjusted")[series.dates[106]] == cold_corr_fits(
+        series, 106, "adjusted")
+    assert corr_fits(fset, "adjusted")[series.dates[106]] != corr_fits(
+        clean, "adjusted")[series.dates[106]]
+    # the regular chain did not fail, so it stays warm
+    assert corr_fits(fset, "regular") == {
+        date: fits for date, fits in corr_fits(clean, "regular").items()
+        if date != series.dates[105]}

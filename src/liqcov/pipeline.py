@@ -223,10 +223,10 @@ def _fit_window_pipeline(q_window: np.ndarray, warm: tuple | None = None):
 
 
 def _fit_side(series: PortfolioSeries, pipeline: str, t: int, window_days: int,
-              warm: tuple | None = None):
-    """One pipeline's (VecmFit, DccFit, DccFit) at anchor t.  The VECM
-    residuals, which no record needs, are dropped before the fits leave a
-    worker."""
+              warm: tuple | None):
+    """One pipeline's (VecmFit, DccFit, DccFit) at anchor t, warm-started
+    from warm as in _fit_window_pipeline.  The VECM residuals, which no
+    record needs, are dropped before the fits leave a worker."""
     q_src = series.q if pipeline == "regular" else series.q_adj
     fit, dcc_fit, adcc_fit = _fit_window_pipeline(q_src[t - window_days + 1:t + 1], warm)
     stripped = dataclasses.replace(fit, residuals=np.empty((0, fit.residuals.shape[1])))

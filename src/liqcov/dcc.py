@@ -243,7 +243,9 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     used after a warm fit that fell back, which is no optimum, and after
     one with a = g = 0: that fit has no correlation dynamics, so its b is
     not identified, and at b on the cap no coordinate of the box moves
-    the likelihood, which would hold the solve at its start.
+    the likelihood, which would hold the solve at its start.  A warm fit
+    of the other kind is a bug, not a bad window, so it raises TypeError,
+    which no caller takes for a failed anchor.
 
     nested, for an "adcc" fit, is the "dcc" fit of the same residuals and
     GARCH stage.  ADCC with g = 0 is DCC, so an ADCC fit that ends below
@@ -255,7 +257,7 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     if nested is not None and (kind, nested.kind) != ("adcc", "dcc"):
         raise ValueError("only an 'adcc' fit nests a 'dcc' fit")
     if warm is not None and warm.kind != kind:
-        raise ValueError(f"a {kind!r} fit cannot start from a {warm.kind!r} fit")
+        raise TypeError(f"a {kind!r} fit cannot start from a {warm.kind!r} fit")
     e = np.ascontiguousarray(residuals, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError("residuals must be (n_obs, n_assets)")

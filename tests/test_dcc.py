@@ -414,7 +414,7 @@ def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, mo
             x0s.clear()
             dcc.fit_dcc(e_next, kind, garch=garch_next, warm=unusable)
             assert len(x0s) == 3
-    with pytest.raises(ValueError, match="cannot start from"):
+    with pytest.raises(TypeError, match="cannot start from"):
         dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=prev["adcc"])
 
 

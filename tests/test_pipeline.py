@@ -58,21 +58,24 @@ def test_stride_reduces_fits_but_not_coverage(series):
 
 
 def test_stride_anchor_days_match_per_day_refit(series, monkeypatch):
-    # every anchor fits cold: a warm start follows the previous anchor,
-    # which the two strides do not share
-    monkeypatch.setattr(pipeline, "BLOCK_ANCHORS", 1)
-    full = run_forecasts(series, window_days=80, stride=1)
-    strided = run_forecasts(series, window_days=80, stride=5)
-    full_by_key = {(r.date, r.pipeline, r.kind): r for r in full.records}
-    anchor_dates = {series.dates[t + 1] for t in range(79, series.n_days - 1, 5)}
-    hits = 0
-    for rec in strided.records:
-        if rec.date in anchor_dates:
-            ref = full_by_key[(rec.date, rec.pipeline, rec.kind)]
-            assert rec.det_omega == ref.det_omega
-            assert rec.det_post == ref.det_post
-            hits += 1
-    assert hits == len(anchor_dates) * 2 * 3
+    # With every anchor cold the anchor-day forecasts of the two strides are
+    # the same bits.  At the shipped block size a warm start follows the
+    # previous anchor, which strides 1 and 5 do not share, so the two fits
+    # of an anchor only reach the same optimum to the solver's tolerance.
+    for block, rtol in ((1, 0.0), (pipeline.BLOCK_ANCHORS, 1e-7)):
+        monkeypatch.setattr(pipeline, "BLOCK_ANCHORS", block)
+        full = run_forecasts(series, window_days=80, stride=1)
+        strided = run_forecasts(series, window_days=80, stride=5)
+        full_by_key = {(r.date, r.pipeline, r.kind): r for r in full.records}
+        anchor_dates = {series.dates[t + 1] for t in range(79, series.n_days - 1, 5)}
+        hits = 0
+        for rec in strided.records:
+            if rec.date in anchor_dates:
+                ref = full_by_key[(rec.date, rec.pipeline, rec.kind)]
+                assert abs(rec.det_omega - ref.det_omega) <= rtol * abs(ref.det_omega)
+                assert abs(rec.det_post - ref.det_post) <= rtol * abs(ref.det_post)
+                hits += 1
+        assert hits == len(anchor_dates) * 2 * 3
 
 
 def test_posterior_dominates_prior_every_day(series):
@@ -230,18 +233,23 @@ def bits(record):
                  for v in dataclasses.astuple(record))
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_worker_processes_match_the_in_process_run(series, monkeypatch, stride):
+@pytest.mark.parametrize("stride, failing", [
+    pytest.param(1, 103, id="1"),
+    pytest.param(2, 103, id="2"),
+    pytest.param(1, None, id="1-no-failure"),
+    pytest.param(2, None, id="2-no-failure"),
+])
+def test_worker_processes_match_the_in_process_run(series, monkeypatch, stride, failing):
     fit_side = pipeline._fit_side
     parent_calls = []
 
-    def singular_at_103(series, side, t, *args):
+    def singular_at(series, side, t, *args):
         parent_calls.append(t)      # a worker appends to its own copy
-        if t == 103:
+        if t == failing:
             raise SingularMatrixError("Sigma", "forced")
         return fit_side(series, side, t, *args)
 
-    monkeypatch.setattr(pipeline, "_fit_side", singular_at_103)
+    monkeypatch.setattr(pipeline, "_fit_side", singular_at)
     use_cpus(monkeypatch, {0})
     serial = run_forecasts(series, window_days=100, stride=stride)
     # each anchor once per pipeline
@@ -252,7 +260,8 @@ def test_worker_processes_match_the_in_process_run(series, monkeypatch, stride):
         assert len(parent_calls) == 2 * len(range(99, 119, stride))
 
     message = "matrix 'Sigma' is singular beyond the regularization floor: forced"
-    assert serial.failures == pooled.failures == [(series.dates[103], message)]
+    expected = [] if failing is None else [(series.dates[failing], message)]
+    assert serial.failures == pooled.failures == expected
     assert len(serial.records) > 0
     assert [bits(r) for r in serial.records] == [bits(r) for r in pooled.records]
     assert [bits(w) for w in serial.windows] == [bits(w) for w in pooled.windows]
@@ -281,17 +290,6 @@ def test_domain_errors_drop_anchors(series, monkeypatch):
     assert not fset.records
     assert len(fset.failures) == 4
     assert all(msg == "window too short" for _, msg in fset.failures)
-
-
-@pytest.mark.parametrize("stride", [1, 2])
-def test_warm_chains_give_the_same_run_on_one_and_two_cpus(series, monkeypatch, stride):
-    use_cpus(monkeypatch, {0})
-    serial = run_forecasts(series, window_days=100, stride=stride)
-    use_cpus(monkeypatch, {0, 1})
-    pooled = run_forecasts(series, window_days=100, stride=stride)
-    assert not serial.failures and not pooled.failures
-    assert [bits(r) for r in serial.records] == [bits(r) for r in pooled.records]
-    assert [bits(w) for w in serial.windows] == [bits(w) for w in pooled.windows]
 
 
 def corr_fits(fset, pipeline_name):

@@ -10,27 +10,33 @@ of its minutes is rejected with a warning record instead of inventing
 prices; ticks, time-sorted within each session, never reject a day.
 ingest_csv reads either format, chosen by the file's header row.
 
-Both formats are read as UTF-8.  A minute-bar file whose rows are all plain
-is read in numpy blocks (_buffer_blocks); any other minute-bar file, and
-every tick file, is read by the row loop (_buffer_rows), the reference the
-block reader matches: the same grids, and the same CsvParseError at the same
-line.  The block reader locates a block whose timestamps are all UTC seconds
-written ``YYYY-MM-DDTHH:MM:SSZ`` in one numpy step, and parses any other
-spelling once per distinct timestamp.
+Both formats are read as UTF-8, after a byte order mark if the file starts
+with one.  A minute-bar file whose rows are all plain is read in numpy
+blocks (_buffer_blocks), within byte ranges that are read in worker
+processes (workers.task_results) and joined in file order; any other
+minute-bar file, and every tick file, is read by the row loop
+(_buffer_rows), the reference the block reader matches: the same grids, and
+the same CsvParseError at the same line, for any number of workers.  The
+block reader locates a block whose timestamps are all UTC seconds written
+``YYYY-MM-DDTHH:MM:SSZ`` in one numpy step, and parses any other spelling
+once per distinct timestamp in a range.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
-import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import workers
 
 MAX_MISSING_FRACTION = 0.20
 
@@ -214,7 +220,7 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
     groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
     latest: dict[tuple[str, dt.date], dt.datetime] = {}     # last tick per session
     price_name, amount_name = columns[2], columns[3]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -264,10 +270,11 @@ def _buffer_rows(path, spec: CalendarSpec, columns: list[str], ticks: bool):
 
 _MINUTE_COLUMNS = ["timestamp", "symbol", "close", "dollar_volume"]
 _TICK_COLUMNS = ["timestamp", "symbol", "price", "size"]
+# bytes per range of a minute file, before each is extended to the next line
+# feed: 2 MB read faster than 4 or 8 MB on two CPUs
+_CHUNK_BYTES = 2 << 20
 # lines per np.loadtxt call: larger blocks read no faster and hold more memory
 _BLOCK_LINES = 4096
-_BLOCK_DTYPE = np.dtype([("timestamp", object), ("symbol", object),
-                         ("close", np.float64), ("volume", np.float64)])
 # csv.reader gives a quote and a carriage return meanings that a split at
 # commas does not, and float() and np.loadtxt treat ASCII control characters
 # differently, so a plain line's UTF-8 bytes are these and nothing else
@@ -282,36 +289,74 @@ class _NotPlain(Exception):
 
 
 def _buffer_blocks(path, spec: CalendarSpec):
-    """_buffer_rows for a minute-bar CSV, read in blocks of _BLOCK_LINES
-    lines, or None when a block is not plain rows: a quote, a control
-    character other than the line feed, a blank, short or long row, a number
-    np.loadtxt does not parse (it rejects ``1_000`` and ``١٢٣``, which
-    float() accepts) or a value a row check rejects.  The caller then reads
-    the whole file with the row loop, which returns the same groups or raises
-    the line-exact error.
+    """The rows of a minute-bar CSV buffered as _buffer_rows buffers them,
+    read in blocks of _BLOCK_LINES lines, or None when a block is not plain
+    rows: bytes that are not UTF-8, a quote, a control character other than
+    the line feed, a blank, short or long row, a number np.loadtxt does not
+    parse (it rejects ``1_000`` and ``١٢٣``, which float() accepts) or a
+    value a row check rejects.  The caller then reads the whole file with the
+    row loop, which returns the same groups or raises the line-exact error.
 
-    A block whose timestamps are all UTC seconds written
-    ``YYYY-MM-DDTHH:MM:SSZ`` is located in one numpy step
-    (_locate_utc_seconds); in any other block each distinct raw timestamp is
-    parsed and located once per file.  Both give the row loop's session
-    minutes.
+    The data after the header (and after a UTF-8 byte order mark before it)
+    is cut into ranges of _CHUNK_BYTES, each extended to the next line feed,
+    so the ranges depend on the file alone.  Each range is one task of
+    workers.task_results (_read_range); the first range that is not plain
+    cancels the rest.  The result is a list of (first line, groups) per
+    range, in file order, whose groups number their lines from 0 within the
+    range; _build_grids joins each (symbol, day) across ranges.
     """
+    with open(path, "rb") as fh:
+        header = fh.readline().removeprefix(codecs.BOM_UTF8)
+        try:
+            columns = header.decode("utf-8").rstrip("\n").split(",")
+        except UnicodeDecodeError:
+            return None
+        if (header.translate(None, _PLAIN_BYTES)
+                or [h.strip().lower() for h in columns] != _MINUTE_COLUMNS):
+            return None
+        bounds = [fh.tell()]
+        size = os.fstat(fh.fileno()).st_size
+        while bounds[-1] < size:
+            fh.seek(bounds[-1] + _CHUNK_BYTES - 1)
+            fh.readline()
+            bounds.append(min(fh.tell(), size))
+    ranges = []
+    line_no = 2
+    with workers.task_results(_read_range, list(zip(bounds, bounds[1:])),
+                              shared=(path, spec)) as results:
+        for result in results:
+            if result is None:
+                return None
+            groups, n_lines = result
+            ranges.append((line_no, groups))
+            line_no += n_lines
+    return ranges
+
+
+def _read_range(path, spec: CalendarSpec, start: int, end: int):
+    """The groups of the lines in bytes [start, end) of a minute CSV, with
+    lines numbered from 0, and the number of lines; None if the range is not
+    plain.  Each block is split at line feeds only: str.splitlines would also
+    split at characters such as U+0085 that a plain line may hold."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(end - start)
+    # a block ends after every _BLOCK_LINES-th line feed, and at the range's end
+    feeds = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    bounds = [0, *(feeds[_BLOCK_LINES - 1::_BLOCK_LINES] + 1).tolist()]
+    if bounds[-1] < len(data):
+        bounds.append(len(data))
     located: dict[str, int] = {}     # raw timestamp -> packed session minute, or -1
     groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = fh.readline()
-            if (header.encode().translate(None, _PLAIN_BYTES)
-                    or [h.strip().lower() for h in header.rstrip("\n").split(",")]
-                    != _MINUTE_COLUMNS):
-                return None
-            line_no = 2
-            while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-                _buffer_block(lines, line_no, spec, located, groups)
-                line_no += len(lines)
+        for block, (first, last) in enumerate(zip(bounds, bounds[1:])):
+            lines = data[first:last].decode("utf-8").split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            _buffer_block(lines, block * _BLOCK_LINES, spec, located, groups)
     except (_NotPlain, UnicodeDecodeError):
         return None
-    return groups
+    return groups, feeds.shape[0] + (not data.endswith(b"\n"))
 
 
 def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
@@ -322,8 +367,15 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     # with three commas a row, np.loadtxt skips no blank line
     if text.count(",") != 3 * len(lines) or text.encode().translate(None, _PLAIN_BYTES):
         raise _NotPlain
+    # the text fields as fixed-width strings as wide as the longest line, so
+    # no field is cut: bytes where the block is ASCII (np.loadtxt would write
+    # any other character below U+0100 as its Latin-1 byte), else str
+    width = max(map(len, lines))
+    kind = "S" if text.isascii() else "U"
+    dtype = np.dtype([("timestamp", f"{kind}{width}"), ("symbol", f"{kind}{width}"),
+                      ("close", np.float64), ("volume", np.float64)])
     try:
-        rows = np.loadtxt(lines, dtype=_BLOCK_DTYPE, delimiter=",", comments=None, ndmin=1)
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         raise _NotPlain from None
     closes, volumes = rows["close"], rows["volume"]
@@ -334,8 +386,8 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     packed = _locate_utc_seconds(rows["timestamp"], spec)
     if packed is None:
         # any other spelling: each distinct raw timestamp is parsed and
-        # located once per file
-        stamps = rows["timestamp"].tolist()
+        # located once per range
+        stamps = rows["timestamp"].astype(str).tolist()
         for raw in set(stamps).difference(located):
             try:
                 loc = spec.locate(_parse_timestamp(raw, first_line))
@@ -343,10 +395,14 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
                 raise _NotPlain from None
             located[raw] = -1 if loc is None else loc[0].toordinal() * _DAY_MINUTES + loc[1]
         packed = np.fromiter(map(located.__getitem__, stamps), np.int64, len(stamps))
-    # each distinct raw symbol is stripped once per block
-    symbols = rows["symbol"].tolist()
+    # a symbol is read once per run of equal raw symbols, and each distinct
+    # raw symbol is stripped once per block
+    symbols = rows["symbol"]
+    heads = np.flatnonzero(np.append(True, symbols[1:] != symbols[:-1]))
+    head_symbols = symbols[heads].astype(str).tolist()
     names: dict[str, int] = {}
-    name_of = {raw: names.setdefault(raw.strip(), len(names)) for raw in dict.fromkeys(symbols)}
+    name_of = {raw: names.setdefault(raw.strip(), len(names))
+               for raw in dict.fromkeys(head_symbols)}
     if "" in names:
         raise _NotPlain
 
@@ -354,7 +410,9 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     if kept.size == 0:
         return
     day_of_row, minute_of_row = np.divmod(packed[kept], _DAY_MINUTES)
-    name_of_row = np.fromiter(map(name_of.__getitem__, symbols), np.int64, len(symbols))[kept]
+    name_of_row = np.repeat(
+        np.fromiter(map(name_of.__getitem__, head_symbols), np.int64, len(head_symbols)),
+        np.diff(heads, append=len(symbols)))[kept]
     first_day = int(day_of_row.min())
     n_days = int(day_of_row.max()) - first_day + 1
     # one key per (symbol, session day); a stable sort keeps file order within each
@@ -385,8 +443,8 @@ _EARLIEST_SECOND = (_EARLIEST_TIMESTAMP - _EPOCH) // dt.timedelta(seconds=1)
 
 
 def _locate_utc_seconds(stamps: np.ndarray, spec: CalendarSpec) -> np.ndarray | None:
-    """The packed session minutes (-1 outside the session) of an object array
-    of raw timestamps, each equal to spec.locate(_parse_timestamp(raw)), or
+    """The packed session minutes (-1 outside the session) of a bytes or str
+    array of raw timestamps, each equal to spec.locate(_parse_timestamp(raw)), or
     None unless every timestamp is written ``YYYY-MM-DDTHH:MM:SSZ`` and names
     a valid instant from _EARLIEST_TIMESTAMP on."""
     try:
@@ -409,12 +467,28 @@ def _locate_utc_seconds(stamps: np.ndarray, spec: CalendarSpec) -> np.ndarray | 
                     (days + _EPOCH_ORDINAL) * _DAY_MINUTES + minutes, -1)
 
 
+def _pop_group(ranges, key) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The line of a (symbol, day)'s first row and its minute, price and
+    volume rows in file order, taken out of every range that holds them:
+    a group in one range is read in place, one in several is joined once."""
+    held = [(first_line, groups.pop(key)) for first_line, groups in ranges if key in groups]
+    first_line, (line_no, *_) = held[0]
+    columns = []
+    for column, dtype in ((1, np.int64), (2, np.float64), (3, np.float64)):
+        parts = [np.frombuffer(buffers[column], dtype=dtype) for _, buffers in held]
+        columns.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return first_line + line_no, *columns
+
+
 @np.errstate(over="ignore")     # an overflow raises CsvParseError below
-def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestResult:
+def _build_grids(ranges, t: int, max_missing: int, sum_volume: bool) -> IngestResult:
     """Turn the (minute, price, volume) rows buffered per (symbol, day), in
     file order, into one grid per (symbol, day) ordered by symbol then date.
-    A return or volume that overflows raises CsvParseError at the line of the
-    day's first row.
+    ranges lists (first line, groups) per range in file order: a group's
+    line plus its range's first line is the line of its first row, and the
+    row loop's groups are one range whose first line is 0.  A return or
+    volume that overflows raises CsvParseError at the line of the day's
+    first row.
 
     Each minute takes the price of its last row, and as volume either its
     last row's (``sum_volume`` false) or the sum over its rows.  A day
@@ -425,15 +499,14 @@ def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestRe
     result = IngestResult()
     prior_symbol: str | None = None
     prior_close: float | None = None
-    for symbol, day in sorted(groups):
-        line_no, minute_buf, price_buf, volume_buf = groups.pop((symbol, day))
-        minutes = np.frombuffer(minute_buf, dtype=np.int64)
+    for symbol, day in sorted(set().union(*(groups for _, groups in ranges))):
+        line_no, minutes, prices, volumes = _pop_group(ranges, (symbol, day))
         if symbol != prior_symbol:
             prior_symbol, prior_close = symbol, None
         # the last row of each minute, in minute order
         present, first_from_end = np.unique(minutes[::-1], return_index=True)
         last = minutes.shape[0] - 1 - first_from_end
-        closes = np.frombuffer(price_buf)[last]
+        closes = prices[last]
         missing = t - present.shape[0]
         if missing > max_missing:
             result.rejected.append(
@@ -448,7 +521,6 @@ def _build_grids(groups, t: int, max_missing: int, sum_volume: bool) -> IngestRe
             returns[present] = closes / previous - 1.0
             if not np.isfinite(returns).all():
                 raise CsvParseError(line_no, f"{symbol} {day}: minute return overflows")
-            volumes = np.frombuffer(volume_buf)
             if sum_volume:
                 # bincount adds in file order, as a running sum would
                 dollar_volume = np.bincount(minutes, weights=volumes, minlength=t)
@@ -472,11 +544,11 @@ def ingest_minute_csv(path, spec: CalendarSpec) -> IngestResult:
     rejected.  The first minute of each session links to the prior
     session's last close when available, else carries return 0.
     """
-    groups = _buffer_blocks(path, spec)
-    if groups is None:
-        groups = _buffer_rows(path, spec, _MINUTE_COLUMNS, ticks=False)
+    ranges = _buffer_blocks(path, spec)
+    if ranges is None:
+        ranges = [(0, _buffer_rows(path, spec, _MINUTE_COLUMNS, ticks=False))]
     t = spec.minutes_per_day
-    return _build_grids(groups, t, int(MAX_MISSING_FRACTION * t), sum_volume=False)
+    return _build_grids(ranges, t, int(MAX_MISSING_FRACTION * t), sum_volume=False)
 
 
 def ingest_tick_csv(path, spec: CalendarSpec) -> IngestResult:
@@ -491,14 +563,14 @@ def ingest_tick_csv(path, spec: CalendarSpec) -> IngestResult:
     """
     groups = _buffer_rows(path, spec, _TICK_COLUMNS, ticks=True)
     t = spec.minutes_per_day
-    return _build_grids(groups, t, t, sum_volume=True)
+    return _build_grids([(0, groups)], t, t, sum_volume=True)
 
 
 def ingest_csv(path, spec: CalendarSpec) -> IngestResult:
     """ingest_minute_csv or ingest_tick_csv, as the file's header row names.
     Only that row is read to choose; any other header raises CsvParseError
     at line 1 naming both."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
         raise CsvParseError(1, "empty file")

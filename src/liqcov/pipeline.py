@@ -28,12 +28,8 @@ import csv
 import dataclasses
 import datetime as dt
 import logging
-import multiprocessing
-import os
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +37,7 @@ import numpy as np
 from . import dcc as dcc_mod
 from . import stats
 from . import vecm as vecm_mod
+from . import workers
 from .bayes import posterior_covariance
 from .linalg import single_blas_thread
 from .liquidity import LiquiditySnapshot, build_snapshot
@@ -381,49 +378,20 @@ def run_forecasts(
     return out
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Set in each worker process by the pool initializer, never in the caller.
-_worker_series: PortfolioSeries | None = None
-
-
-def _set_worker_series(series: PortfolioSeries) -> None:
-    global _worker_series
-    _worker_series = series
-
-
-def _fit_worker_chain(window_days, pipeline, anchors):
-    return _fit_chain(_worker_series, pipeline, anchors, window_days)
-
-
 def _fit_anchors(series, anchors, window_days) -> list[tuple]:
     """The fits of every anchor, in anchor order: per anchor, one _fit_chain
     result per pipeline, in PIPELINES order.
 
     The anchors are cut into fixed blocks of BLOCK_ANCHORS, so that which
     fit warm-starts from which depends only on the anchors, and each
-    (block, pipeline) chain is one task.  With more than one usable CPU the
-    tasks are shared among min(CPUs, tasks) forked workers, which inherit
-    the series (set once by the pool initializer), the caller's BLAS pin
-    and any patched module attribute.  Otherwise they run in this process.
-    Every worker has exited when this returns or raises.
+    (block, pipeline) chain is one task of workers.task_results, whose
+    forked workers inherit the series and the caller's BLAS pin.  Every
+    worker has exited when this returns or raises.
     """
-    tasks = [(pipeline, anchors[i:i + BLOCK_ANCHORS])
+    tasks = [(pipeline, anchors[i:i + BLOCK_ANCHORS], window_days)
              for i in range(0, len(anchors), BLOCK_ANCHORS) for pipeline in PIPELINES]
-    workers = min(_usable_cpus(), len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        chains = [_fit_chain(series, pipeline, block, window_days) for pipeline, block in tasks]
-    else:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_set_worker_series, initargs=(series,))
-        try:
-            chains = list(pool.map(partial(_fit_worker_chain, window_days), *zip(*tasks)))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with workers.task_results(_fit_chain, tasks, shared=(series,)) as results:
+        chains = list(results)
     width = len(PIPELINES)
     blocks = [chains[i:i + width] for i in range(0, len(chains), width)]
     return [sides for block in blocks for sides in zip(*block)]

@@ -240,6 +240,20 @@ class TestCommands:
         assert result.exit_code != 0
         assert "No such option" in result.output
 
+    @pytest.mark.parametrize("header", ["timestamp,symbol,close,dollar_volume",
+                                        "timestamp,symbol,price,size"], ids=["minute", "tick"])
+    def test_byte_order_mark_before_the_header(self, data_csv, tmp_path, header):
+        # the synthetic file is time-sorted per symbol, so its rows are valid ticks too
+        rows = open(data_csv, encoding="utf-8").read().split("\n", 1)[1]
+        data = tmp_path / "marked.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{rows}".encode())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(data_csv=str(data), out_dir=str(tmp_path / "o"),
+                                            minutes_per_day=16)))
+        result = CliRunner().invoke(main, ["liquidity", "-c", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert cli.stage_complete(RunConfig.from_file(str(cfg_path)), "liquidity")
+
     def test_truncated_manifest_rebuilds(self, data_csv, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -1,7 +1,10 @@
 """Minute-grid ingestion, tick aggregation, and day-level compounding."""
 
+import codecs
 import csv
 import datetime as dt
+import multiprocessing
+import os
 import random
 import tracemalloc
 from unittest import mock
@@ -242,6 +245,11 @@ class TestIngestOracle:
         assert peak <= 8 * grid_bytes
 
 
+def using_cpus(cpus):
+    """Make the reader see the given set of usable CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(cpus), create=True)
+
+
 def _row_loop_alone():
     """Make ingest_minute_csv read every file with the row loop."""
     return mock.patch.object(marketdata, "_buffer_blocks", return_value=None)
@@ -309,7 +317,9 @@ def minute_files(draw):
             "epoch-ms": str(int(ts.timestamp()) * 1000),
             "plus-two-hours": ts.astimezone(dt.timezone(dt.timedelta(hours=2))).isoformat(),
         }[spelling]
-        symbol = draw(st.sampled_from(["AAA", "BBB", " AAA"]))
+        # a multi-byte symbol, and one holding U+0085, which str.splitlines
+        # would take for a line break
+        symbol = draw(st.sampled_from(["AAA", "BBB", " AAA", "\u00c9AA", "B\u0085B"]))
         # a close of 1e300 after one of 1e-300 overflows the day's return,
         # an error raised at the line of the day's first row
         close = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e300])))
@@ -323,13 +333,14 @@ class TestBlockReader:
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=minute_files(), block_lines=st.integers(1, 9),
+    @given(text=minute_files(), block_lines=st.integers(1, 9), chunk_bytes=st.integers(1, 200),
            spec=st.sampled_from([CalendarSpec.crypto(6), CalendarSpec(6, dt.time(0, 3))]))
-    def test_equals_the_row_loop(self, tmp_path, text, block_lines, spec):
-        # each example rewrites the one file
+    def test_equals_the_row_loop(self, tmp_path, text, block_lines, chunk_bytes, spec):
+        # each example rewrites the one file, whose ranges are read in this process
         path = tmp_path / "data.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        with mock.patch.object(marketdata, "_BLOCK_LINES", block_lines):
+        with mock.patch.object(marketdata, "_BLOCK_LINES", block_lines), \
+                mock.patch.object(marketdata, "_CHUNK_BYTES", chunk_bytes), using_cpus({0}):
             got = _outcome(path, spec)
         with _row_loop_alone():
             want = _outcome(path, spec)
@@ -383,6 +394,58 @@ class TestBlockReader:
         assert rows.call_count == 1
         with _row_loop_alone():
             assert got == _outcome(path, spec)
+
+    @staticmethod
+    def ranged_file(tmp_path, last_line=None):
+        """A minute file of 42-byte lines, each range two lines under
+        _CHUNK_BYTES = 65: every cut falls at byte 22 of a line, inside its
+        symbol, which is "\u00c9AA" (two bytes at 21-22) or "B\u0085B" (U+0085
+        at 22-23).  last_line, when given, replaces the file's last line."""
+        rows = [f"2021-03-0{day}T00:0{m}:00Z,{sym},{100.0 + m + day / 8:.4f},{1.5 + m:.4f}"
+                for sym in ("\u00c9AA", "B\u0085B") for day in (1, 2) for m in range(6)]
+        assert {len(row.encode()) + 1 for row in rows} == {42}
+        if last_line is not None:
+            rows[-1] = last_line
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["timestamp,symbol,close,dollar_volume"] + rows) + "\n",
+                        encoding="utf-8", newline="")
+        return path
+
+    @pytest.mark.parametrize("last_line", [None, "2021-03-02T00:05:00Z,B\u0085B,abc,1.0"],
+                             ids=["plain", "bad-last-row"])
+    def test_workers_equal_one_cpu_and_the_row_loop(self, tmp_path, last_line):
+        path = self.ranged_file(tmp_path, last_line)
+        spec = CalendarSpec.crypto(6)
+        with mock.patch.object(marketdata, "_CHUNK_BYTES", 65), \
+                mock.patch.object(marketdata, "_buffer_rows", wraps=marketdata._buffer_rows) as rows:
+            with using_cpus({0}):
+                serial = _outcome(path, spec)
+            with using_cpus({0, 1}):
+                pooled = _outcome(path, spec)
+        # the bad row, and it alone, sends each read to the row loop
+        assert rows.call_count == (0 if last_line is None else 2)
+        with _row_loop_alone():
+            assert serial == pooled == _outcome(path, spec)
+        if last_line is None:
+            assert serial[0] == "result" and len(serial[1]) == 4
+            assert {grid[0] for grid in serial[1]} == {"\u00c9AA", "B\u0085B"}
+        else:
+            assert serial == ("error", 25, "bad close 'abc'")
+
+    def test_no_worker_outlives_a_read(self, tmp_path):
+        spec = CalendarSpec.crypto(6)
+        plain = self.ranged_file(tmp_path)
+        with mock.patch.object(marketdata, "_CHUNK_BYTES", 65), using_cpus({0, 1}):
+            assert len(ingest_minute_csv(plain, spec).grids) == 4
+            assert multiprocessing.active_children() == []
+            # a quoted last row: the row loop reads the file
+            quoted = self.ranged_file(tmp_path, '2021-03-02T00:05:00Z,"B\u0085B",105.25,6.5')
+            assert _outcome(quoted, spec)[0] == "result"
+            assert multiprocessing.active_children() == []
+            with mock.patch.object(marketdata, "_buffer_block", side_effect=TypeError("bug")), \
+                    pytest.raises(TypeError, match="bug"):
+                ingest_minute_csv(plain, spec)
+            assert multiprocessing.active_children() == []
 
     def test_tick_files_keep_the_row_loop(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -678,6 +741,24 @@ class TestIngestCsv:
         path.write_text("")
         with pytest.raises(CsvParseError, match="line 1: empty file"):
             ingest_csv(path, CalendarSpec.crypto(4))
+
+    @pytest.mark.parametrize("header, extra", [
+        ("timestamp,symbol,close,dollar_volume", None),
+        ("timestamp,symbol,close,dollar_volume", f'{stamp(2, 3)},"AAA",12.0,1.0'),
+        ("timestamp,symbol,price,size", None),
+    ], ids=["minute", "minute-row-loop", "tick"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header, extra):
+        text = "\n".join([header] + self.ROWS + ([extra] if extra else [])) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        spec = CalendarSpec.crypto(4)
+        with mock.patch.object(marketdata, "_buffer_rows", wraps=marketdata._buffer_rows) as rows:
+            got = self.outcome(ingest_csv(marked, spec))
+        assert got == self.outcome(ingest_csv(plain, spec))
+        assert got[0]
+        # a plain minute file is read by the block reader, BOM or not
+        assert rows.call_count == (0 if header.endswith("volume") and extra is None else 1)
 
 
 @pytest.mark.parametrize("ingest, header", [

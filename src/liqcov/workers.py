@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 
-def usable_cpus() -> int:
+def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -55,7 +55,7 @@ def task_results(fn: Callable, tasks: Sequence[tuple], shared: tuple = ()) -> It
     block cancels the tasks not yet started, and every worker has exited
     when the block is left, whether normally or by an exception.
     """
-    workers = min(usable_cpus(), len(tasks))
+    workers = min(_usable_cpus(), len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield (fn(*shared, *task) for task in tasks)
         return

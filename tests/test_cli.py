@@ -244,7 +244,8 @@ class TestCommands:
                                         "timestamp,symbol,price,size"], ids=["minute", "tick"])
     def test_byte_order_mark_before_the_header(self, data_csv, tmp_path, header):
         # the synthetic file is time-sorted per symbol, so its rows are valid ticks too
-        rows = open(data_csv, encoding="utf-8").read().split("\n", 1)[1]
+        with open(data_csv, encoding="utf-8") as fh:
+            rows = fh.read().split("\n", 1)[1]
         data = tmp_path / "marked.csv"
         data.write_bytes(b"\xef\xbb\xbf" + f"{header}\n{rows}".encode())
         cfg_path = tmp_path / "cfg.json"

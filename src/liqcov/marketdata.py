@@ -19,7 +19,7 @@ minute-bar file, and every tick file, is read by the row loop
 the same CsvParseError at the same line, for any number of workers.  The
 block reader locates a block whose timestamps are all UTC seconds written
 ``YYYY-MM-DDTHH:MM:SSZ`` in one numpy step, and parses any other spelling
-once per distinct timestamp in a range.
+once per distinct timestamp in each process that reads ranges.
 """
 
 from __future__ import annotations
@@ -275,6 +275,8 @@ _TICK_COLUMNS = ["timestamp", "symbol", "price", "size"]
 _CHUNK_BYTES = 2 << 20
 # lines per np.loadtxt call: larger blocks read no faster and hold more memory
 _BLOCK_LINES = 4096
+_BLOCK_DTYPE = np.dtype([("timestamp", object), ("symbol", object),
+                         ("close", np.float64), ("volume", np.float64)])
 # csv.reader gives a quote and a carriage return meanings that a split at
 # commas does not, and float() and np.loadtxt treat ASCII control characters
 # differently, so a plain line's UTF-8 bytes are these and nothing else
@@ -322,8 +324,11 @@ def _buffer_blocks(path, spec: CalendarSpec):
             bounds.append(min(fh.tell(), size))
     ranges = []
     line_no = 2
+    # raw timestamp -> packed session minute, or -1: each process that reads
+    # ranges fills its own copy
+    located: dict[str, int] = {}
     with workers.task_results(_read_range, list(zip(bounds, bounds[1:])),
-                              shared=(path, spec)) as results:
+                              shared=(path, spec, located)) as results:
         for result in results:
             if result is None:
                 return None
@@ -333,11 +338,13 @@ def _buffer_blocks(path, spec: CalendarSpec):
     return ranges
 
 
-def _read_range(path, spec: CalendarSpec, start: int, end: int):
+def _read_range(path, spec: CalendarSpec, located: dict[str, int],
+                start: int, end: int):
     """The groups of the lines in bytes [start, end) of a minute CSV, with
     lines numbered from 0 and rows as bytes, and the number of lines; None
-    if the range is not plain.  Each block is split at line feeds only: str.splitlines would also
-    split at characters such as U+0085 that a plain line may hold."""
+    if the range is not plain.  Each block is split at line feeds only:
+    str.splitlines would also split at characters such as U+0085 that a
+    plain line may hold."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
@@ -346,7 +353,6 @@ def _read_range(path, spec: CalendarSpec, start: int, end: int):
     bounds = [0, *(feeds[_BLOCK_LINES - 1::_BLOCK_LINES] + 1).tolist()]
     if bounds[-1] < len(data):
         bounds.append(len(data))
-    located: dict[str, int] = {}     # raw timestamp -> packed session minute, or -1
     groups: dict[tuple[str, dt.date], tuple[int, array, array, array]] = {}
     try:
         for block, (first, last) in enumerate(zip(bounds, bounds[1:])):
@@ -371,15 +377,8 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     # with three commas a row, np.loadtxt skips no blank line
     if text.count(",") != 3 * len(lines) or text.encode().translate(None, _PLAIN_BYTES):
         raise _NotPlain
-    # the text fields as fixed-width strings as wide as the longest line, so
-    # no field is cut: bytes where the block is ASCII (np.loadtxt would write
-    # any other character below U+0100 as its Latin-1 byte), else str
-    width = max(map(len, lines))
-    kind = "S" if text.isascii() else "U"
-    dtype = np.dtype([("timestamp", f"{kind}{width}"), ("symbol", f"{kind}{width}"),
-                      ("close", np.float64), ("volume", np.float64)])
     try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        rows = np.loadtxt(lines, dtype=_BLOCK_DTYPE, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         raise _NotPlain from None
     closes, volumes = rows["close"], rows["volume"]
@@ -390,8 +389,8 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     packed = _locate_utc_seconds(rows["timestamp"], spec)
     if packed is None:
         # any other spelling: each distinct raw timestamp is parsed and
-        # located once per range
-        stamps = rows["timestamp"].astype(str).tolist()
+        # located once per process that reads the file
+        stamps = rows["timestamp"].tolist()
         for raw in set(stamps).difference(located):
             try:
                 loc = spec.locate(_parse_timestamp(raw, first_line))
@@ -399,14 +398,10 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
                 raise _NotPlain from None
             located[raw] = -1 if loc is None else loc[0].toordinal() * _DAY_MINUTES + loc[1]
         packed = np.fromiter(map(located.__getitem__, stamps), np.int64, len(stamps))
-    # a symbol is read once per run of equal raw symbols, and each distinct
-    # raw symbol is stripped once per block
-    symbols = rows["symbol"]
-    heads = np.flatnonzero(np.append(True, symbols[1:] != symbols[:-1]))
-    head_symbols = symbols[heads].astype(str).tolist()
+    # each distinct raw symbol is stripped once per block
+    symbols = rows["symbol"].tolist()
     names: dict[str, int] = {}
-    name_of = {raw: names.setdefault(raw.strip(), len(names))
-               for raw in dict.fromkeys(head_symbols)}
+    name_of = {raw: names.setdefault(raw.strip(), len(names)) for raw in dict.fromkeys(symbols)}
     if "" in names:
         raise _NotPlain
 
@@ -414,9 +409,7 @@ def _buffer_block(lines: list[str], first_line: int, spec: CalendarSpec,
     if kept.size == 0:
         return
     day_of_row, minute_of_row = np.divmod(packed[kept], _DAY_MINUTES)
-    name_of_row = np.repeat(
-        np.fromiter(map(name_of.__getitem__, head_symbols), np.int64, len(head_symbols)),
-        np.diff(heads, append=len(symbols)))[kept]
+    name_of_row = np.fromiter(map(name_of.__getitem__, symbols), np.int64, len(symbols))[kept]
     first_day = int(day_of_row.min())
     n_days = int(day_of_row.max()) - first_day + 1
     # one key per (symbol, session day); a stable sort keeps file order within each
@@ -447,8 +440,8 @@ _EARLIEST_SECOND = (_EARLIEST_TIMESTAMP - _EPOCH) // dt.timedelta(seconds=1)
 
 
 def _locate_utc_seconds(stamps: np.ndarray, spec: CalendarSpec) -> np.ndarray | None:
-    """The packed session minutes (-1 outside the session) of a bytes or str
-    array of raw timestamps, each equal to spec.locate(_parse_timestamp(raw)), or
+    """The packed session minutes (-1 outside the session) of an object array
+    of raw timestamps, each equal to spec.locate(_parse_timestamp(raw)), or
     None unless every timestamp is written ``YYYY-MM-DDTHH:MM:SSZ`` and names
     a valid instant from _EARLIEST_TIMESTAMP on."""
     try:
@@ -471,17 +464,17 @@ def _locate_utc_seconds(stamps: np.ndarray, spec: CalendarSpec) -> np.ndarray | 
                     (days + _EPOCH_ORDINAL) * _DAY_MINUTES + minutes, -1)
 
 
-def _pop_group(ranges, key) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _pop_group(held: dict, key) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The line of a (symbol, day)'s first row and its minute, price and
-    volume rows in file order, taken out of every range that holds them:
-    a group in one range is read in place, one in several is joined once."""
-    held = [(first_line, groups.pop(key)) for first_line, groups in ranges if key in groups]
-    first_line, (line_no, *_) = held[0]
+    volume rows in file order, taken out of held, which lists its (line,
+    buffers) per range in file order: rows in one range are read in place,
+    rows in several are joined once."""
+    parts = held.pop(key)
     columns = []
-    for column, dtype in ((1, np.int64), (2, np.float64), (3, np.float64)):
-        parts = [np.frombuffer(buffers[column], dtype=dtype) for _, buffers in held]
-        columns.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-    return first_line + line_no, *columns
+    for column, dtype in enumerate((np.int64, np.float64, np.float64)):
+        arrays = [np.frombuffer(buffers[column], dtype=dtype) for _, buffers in parts]
+        columns.append(arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
+    return parts[0][0], *columns
 
 
 @np.errstate(over="ignore")     # an overflow raises CsvParseError below
@@ -500,11 +493,16 @@ def _build_grids(ranges, t: int, max_missing: int, sum_volume: bool) -> IngestRe
     of a session links to the symbol's previous session's last price, even
     when that session was rejected, else carries return 0.
     """
+    held: dict[tuple[str, dt.date], list] = {}
+    for first_line, groups in ranges:
+        while groups:
+            key, (line_no, *buffers) = groups.popitem()
+            held.setdefault(key, []).append((first_line + line_no, buffers))
     result = IngestResult()
     prior_symbol: str | None = None
     prior_close: float | None = None
-    for symbol, day in sorted(set().union(*(groups for _, groups in ranges))):
-        line_no, minutes, prices, volumes = _pop_group(ranges, (symbol, day))
+    for symbol, day in sorted(held):
+        line_no, minutes, prices, volumes = _pop_group(held, (symbol, day))
         if symbol != prior_symbol:
             prior_symbol, prior_close = symbol, None
         # the last row of each minute, in minute order

@@ -383,6 +383,18 @@ class TestBlockReader:
             ingest_minute_csv(path, CalendarSpec.crypto(6))
         assert parse.call_count == (4 if feature in ("epoch-ms", "plus-two-hours") else 0)
 
+    def test_ranges_read_in_one_process_parse_each_timestamp_once(self, tmp_path):
+        # two symbols at the same six epoch-ms stamps, about two lines a range
+        rows = [f"{int(dt.datetime(2021, 3, 1, 0, m, tzinfo=UTC).timestamp()) * 1000},{sym},100.0,1.0"
+                for sym in ("AAA", "BBB") for m in range(6)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(["timestamp,symbol,close,dollar_volume"] + rows) + "\n")
+        with mock.patch.object(marketdata, "_CHUNK_BYTES", 40), using_cpus({0}), \
+                mock.patch.object(marketdata, "_parse_timestamp",
+                                  wraps=marketdata._parse_timestamp) as parse:
+            assert len(ingest_minute_csv(path, CalendarSpec.crypto(6)).grids) == 2
+        assert parse.call_count == 6
+
     @pytest.mark.parametrize("feature", sorted(NOT_PLAIN))
     def test_each_feature_sends_the_file_to_the_row_loop_once(self, tmp_path, feature):
         path = self.plain_file(tmp_path, NOT_PLAIN[feature])

@@ -12,7 +12,19 @@ gradient, which the fits hand to a quasi-Newton optimizer:
   of one day's term in Q_t.  dQ_t/d(a, b, g) obeys the Q recursion driven by
   (X_{t-1} - Obar, Q_{t-1} - Obar, M_{t-1} - Nbar), so filtering G backwards
   in time with pole b (the adjoint) gives all three derivatives from one
-  pass over the d(d+1)/2 distinct entries.
+  pass over the d(d+1)/2 distinct entries;
+* the correlation Hessian (``corr_curvature``) adds the tangents
+  dQ_t/d(a, b, g), one more filter with pole b driven by the same three
+  terms at t-1.  The second derivatives of Q are nonzero only in (a, b),
+  (b, b) and (g, b), where they are dQ_{t-1} filtered again, so they
+  contract with the adjoint: sum_t <lam_t, dQ_{t-1}>, doubled for (b, b).
+  With K = Q^-1 = D P^-1 D, e_i = diag(dQ_i) / diag(Q), u = x / diag(D),
+  v = D z and c_i = u e_i / 2 - dQ_i v, each day adds
+  -tr(K dQ_i K dQ_j) + sum_k e_ik e_jk (1 - x_k z_k / 2) + 2 c_i' K c_j,
+  and the Hessian is half the sum of both parts over days.
+
+The correlation value, gradient and Hessian come from one forward pass,
+``_corr_pass``, fed the constants of a fit, which ``corr_terms`` builds once.
 """
 
 from __future__ import annotations
@@ -61,14 +73,19 @@ def garch11_negloglik(eps2, omega, alpha, beta, h2_0):
 
 
 @functools.lru_cache(maxsize=None)
-def _lower_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lower_entries(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row and column indices of the lower triangle of a dim x dim matrix,
-    and the weight of each entry in a symmetric inner product <A, B>."""
+    the weight of each entry in a symmetric inner product <A, B>, the
+    positions of the diagonal entries, and the (dim, dim) gather index that
+    rebuilds the full symmetric matrix from the lower-triangle entries."""
     rows, cols = np.tril_indices(dim)
     weight = np.where(rows == cols, 1.0, 2.0)
-    for arr in (rows, cols, weight):
+    diag = np.flatnonzero(rows == cols)
+    full = np.empty((dim, dim), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    for arr in (rows, cols, weight, diag, full):
         arr.setflags(write=False)
-    return rows, cols, weight
+    return rows, cols, weight, diag, full
 
 
 def _inverse_factor(chol: np.ndarray) -> np.ndarray:
@@ -84,7 +101,15 @@ def _inverse_factor(chol: np.ndarray) -> np.ndarray:
     return w
 
 
-def corr_negloglik(xi, xneg, obar, nbar, a, b, g):
+def corr_terms(xi, xneg, obar, nbar) -> tuple:
+    """The constants of one fit: xi and the lower triangles of x x' and m m'
+    of every day but the last, of obar and of nbar."""
+    rows, cols = _lower_entries(xi.shape[1])[:2]
+    return (xi, xi[:-1, rows] * xi[:-1, cols], xneg[:-1, rows] * xneg[:-1, cols],
+            obar[rows, cols], nbar[rows, cols])
+
+
+def corr_negloglik(xi, xneg, obar, nbar, a, b, g, terms: tuple | None = None):
     """Gaussian negative log-likelihood of the correlation recursion, its
     gradient in (a, b, g), and the last Q.
 
@@ -93,19 +118,32 @@ def corr_negloglik(xi, xneg, obar, nbar, a, b, g):
     Q_t is rescaled to unit diagonal, P_t = D_t Q_t D_t, before it enters
     the likelihood.  The value is +inf (with a zero gradient) when a
     rescaled matrix is not positive definite.  The 2*pi constant is
-    excluded (it cancels in comparisons).
+    excluded (it cancels in comparisons).  terms, when given, is
+    ``corr_terms(xi, xneg, obar, nbar)``, built once for many calls.
+    """
+    return _corr_pass(terms if terms is not None else corr_terms(xi, xneg, obar, nbar),
+                      a, b, g)[:3]
+
+
+def corr_curvature(terms: tuple, a, b, g):
+    """``corr_negloglik``'s value, gradient and last Q at (a, b, g), and the
+    exact Hessian in (a, b, g) (zero where the value is +inf)."""
+    return _corr_pass(terms, a, b, g, curvature=True)
+
+
+def _corr_pass(terms: tuple, a, b, g, curvature: bool = False):
+    """The forward pass of the correlation recursion, its adjoint, and with
+    curvature its tangents; returns (nll, grad, q_last, hess).
 
     The symmetric matrices are filtered as their lower triangles.  With
     z = P^-1 x, one day's term has gradient in Q
     G = D (P^-1 - z z') D - diag((1 - x_i z_i) / q_ii).
     """
+    xi, xx, mm, o_low, n_low = terms
     n, dim = xi.shape
-    rows, cols, weight = _lower_entries(dim)
-    on_diag = rows == cols
+    rows, cols, weight, on_diag, full = _lower_entries(dim)
     grad = np.zeros(3)
-    xx = xi[:-1, rows] * xi[:-1, cols]
-    mm = xneg[:-1, rows] * xneg[:-1, cols]
-    o_low, n_low = obar[rows, cols], nbar[rows, cols]
+    hess = np.zeros((3, 3))
     q = np.empty((n, rows.size))
     q[0] = o_low
     if n > 1:
@@ -113,21 +151,16 @@ def corr_negloglik(xi, xneg, obar, nbar, a, b, g):
         if g != 0.0:
             drive += g * mm
         q[1:] = lfilter([1.0], [1.0, -b], drive, axis=0, zi=b * o_low[None, :])[0]
-    q_last = np.empty((dim, dim))
-    q_last[rows, cols] = q[-1]
-    q_last[cols, rows] = q[-1]
+    q_last = q[-1][full]
     diag = q[:, on_diag]
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-        return np.inf, grad, q_last
+        return np.inf, grad, q_last, hess
     scale = 1.0 / np.sqrt(diag)
     outer = scale[:, rows] * scale[:, cols]
-    p = np.empty((n, dim, dim))
-    p[:, rows, cols] = q * outer
-    p[:, cols, rows] = p[:, rows, cols]
     try:
-        chol = np.linalg.cholesky(p)
+        chol = np.linalg.cholesky((q * outer)[:, full])
     except np.linalg.LinAlgError:
-        return np.inf, grad, q_last
+        return np.inf, grad, q_last, hess
     w = _inverse_factor(chol)
     w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
     y = np.einsum("tij,tj->ti", w, xi)
@@ -147,4 +180,37 @@ def corr_negloglik(xi, xneg, obar, nbar, a, b, g):
         grad[1] = np.einsum("tk,tk->", lam, q[:-1]) - o_term
         grad[2] = np.einsum("tk,tk->", lam, mm) - lam_sum @ n_low
         grad *= 0.5
-    return float(nll), grad, q_last
+        if curvature:
+            hess = _corr_hessian(xi, q, scale, outer, z, p_inv, lam, terms, b)
+    return float(nll), grad, q_last, hess
+
+
+def _corr_hessian(xi, q, scale, outer, z, p_inv, lam, terms: tuple, b) -> np.ndarray:
+    """The Hessian of the correlation negative log-likelihood in (a, b, g),
+    from the forward pass's Q path, its rescaling, z = P^-1 x, P^-1 and the
+    adjoint lam of days 1..n-1."""
+    _, xx, mm, o_low, n_low = terms
+    _, _, _, on_diag, full = _lower_entries(xi.shape[1])
+    drive = np.stack([xx - o_low, q[:-1] - o_low, mm - n_low], axis=1)
+    tangent = lfilter([1.0], [1.0, -b], drive, axis=0)     # dq_t/d(a, b, g), t = 1..n-1
+    # second derivatives of Q, contracted with the adjoint
+    cross = np.einsum("tk,tjk->j", lam[1:], tangent[:-1])
+    hess = np.zeros((3, 3))
+    hess[:, 1] += cross
+    hess[1, :] += cross
+    # each day's second derivative of its term along dQ_i, dQ_j
+    d_q = tangent[:, :, full]
+    k_mat = p_inv * outer[1:, full]
+    k_dq = np.matmul(k_mat[:, None], d_q)
+    e = tangent[:, :, on_diag] * scale[1:, None] ** 2
+    c = 0.5 * (xi[1:] / scale[1:])[:, None] * e - np.matmul(d_q, (scale[1:] * z)[:, None, :, None])[..., 0]
+
+    def gram(left, right):
+        """sum over days and entries of left_i * right_j, as a 3 x 3 matrix."""
+        return np.einsum("tik,tjk->ij", left.reshape(*left.shape[:2], -1),
+                         right.reshape(*right.shape[:2], -1))
+
+    hess -= gram(k_dq, k_dq.transpose(0, 1, 3, 2))
+    hess += gram(e * (1.0 - 0.5 * xi[1:] * z)[:, None], e)
+    hess += 2.0 * gram(c, np.matmul(c, k_mat))
+    return 0.25 * (hess + hess.T)

@@ -58,6 +58,8 @@ class TTestResult:
     p_less: float
     stars: str
     degenerate: bool = False
+    n1: int = 0
+    n2: int = 0
 
 
 def significance_stars(p_value: float) -> str:
@@ -119,6 +121,8 @@ def two_sample_ttest(x, y, sides: str = "two") -> TTestResult:
         p_less=p_less,
         stars=significance_stars(p_for_stars),
         degenerate=degenerate,
+        n1=n1,
+        n2=n2,
     )
 
 
@@ -171,7 +175,10 @@ def coefficient_tests(
     """Two-sided tests of fitted dynamics coefficients, regular vs adjusted.
 
     Inputs map "dcc" to an (n_windows, 2) array of (a, b) and "adcc" to an
-    (n_windows, 3) array of (a, b, g).
+    (n_windows, 3) array of (a, b, g).  A window with no correlation
+    dynamics (a = 0 for DCC, a = g = 0 for ADCC) does not identify b, so it
+    is left out of every row that holds b; a row with fewer than two
+    windows left on a side is not tested (NaN statistics).
     """
     rows = []
     for kind, specs in _COEF_ROWS.items():
@@ -179,10 +186,15 @@ def coefficient_tests(
         y = np.asarray(adjusted[kind], dtype=np.float64)
         if x.shape != y.shape:
             raise ValueError(f"{kind}: series lengths differ ({x.shape} vs {y.shape})")
+        # the windows that identify b: a + g > 0
+        x_b, y_b = (v[np.delete(v, 1, axis=1).sum(axis=1) > 0.0] for v in (x, y))
         for label, cols in specs:
-            xs = x[:, list(cols)].sum(axis=1)
-            ys = y[:, list(cols)].sum(axis=1)
-            test = two_sample_ttest(xs, ys, sides="two")
+            xs, ys = (v[:, list(cols)].sum(axis=1) for v in ((x_b, y_b) if 1 in cols else (x, y)))
+            if min(xs.size, ys.size) < 2:
+                nan = float("nan")
+                test = TTestResult(nan, xs.size + ys.size - 2, nan, nan, nan, "", True, xs.size, ys.size)
+            else:
+                test = two_sample_ttest(xs, ys, sides="two")
             rows.append(ComparisonRow(label=f"{kind}: {label}", test=test, direction=_direction(test)))
     return rows
 
@@ -261,7 +273,8 @@ def descriptive_rows_table(columns: Mapping[str, DescriptiveRow]) -> tuple[list[
 
 
 def comparison_rows_table(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[list[str]]]:
-    headers = ["test", "t_value", "dof", "p_two_sided", "p_greater", "p_less", "sig", "direction"]
+    headers = ["test", "t_value", "dof", "p_two_sided", "p_greater", "p_less", "sig", "direction",
+               "n_regular", "n_adjusted"]
     body = []
     for row in rows:
         t = row.test
@@ -274,6 +287,8 @@ def comparison_rows_table(rows: Sequence[ComparisonRow]) -> tuple[list[str], lis
             f"{t.p_less:.4f}",
             t.stars,
             DIRECTION_GLYPHS[row.direction],
+            str(t.n1),
+            str(t.n2),
         ])
     return headers, body
 

@@ -364,58 +364,127 @@ def correlated_residuals():
     return [(w, dcc.fit_garch_stage(w)) for w in (e[:300], e[1:])]
 
 
+def counting_solves(monkeypatch, kernel_calls: list) -> list:
+    """Wrap both solvers and both correlation kernels: each solve appends its
+    result, each kernel call appends to kernel_calls."""
+    results = []
+
+    def solve(fn):
+        def counted(*args):
+            results.append(fn(*args))
+            return results[-1]
+        return counted
+
+    def kernel(fn):
+        def counted(*args, **kwargs):
+            kernel_calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, wrap in (("_minimize_fd", solve), ("_newton_box", solve),
+                       ("corr_negloglik", kernel), ("corr_curvature", kernel)):
+        monkeypatch.setattr(dcc, name, wrap(getattr(dcc, name)))
+    return results
+
+
 def test_each_optimum_is_scored_from_its_evaluation(correlated_residuals, monkeypatch):
     (e, garch), (e_next, garch_next) = correlated_residuals
-    kernel_calls, nfev = [], []
-    kernel, minimize_fd = dcc.corr_negloglik, dcc._minimize_fd
-
-    def counting_kernel(*args):
-        kernel_calls.append(None)
-        return kernel(*args)
-
-    def counting_solve(*args):
-        res = minimize_fd(*args)
-        nfev.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(dcc, "corr_negloglik", counting_kernel)
-    monkeypatch.setattr(dcc, "_minimize_fd", counting_solve)
+    kernel_calls = []
+    solves = counting_solves(monkeypatch, kernel_calls)
     dcc_fit = dcc.fit_dcc(e, "dcc", garch=garch)
     # a nested fit scored above any ADCC optimum forces the nesting re-solve
     above = dataclasses.replace(dcc_fit, loglik=dcc_fit.loglik + 1.0)
     dcc.fit_dcc(e, "adcc", garch=garch, nested=above)
     dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=dcc_fit)
-    assert len(nfev) == 3 + 3 + 1 + 1      # starts, starts and re-solve, warm solve
-    assert len(kernel_calls) == sum(nfev)
+    assert len(solves) == 3 + 3 + 1 + 1      # starts, starts and re-solve, warm solve
+    assert "nhev" in solves[-1]              # the warm solve is the Newton solve
+    assert len(kernel_calls) == sum(res.nfev + res.get("nhev", 0) for res in solves)
 
 
 def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, monkeypatch):
     (e, garch), (e_next, garch_next) = correlated_residuals
     prev = {kind: dcc.fit_dcc(e, kind, garch=garch) for kind in ("dcc", "adcc")}
-    x0s = []
-    minimize_fd = dcc._minimize_fd
-
-    def recording(fun, x0, bounds):
-        x0s.append(x0)
-        return minimize_fd(fun, x0, bounds)
-
-    monkeypatch.setattr(dcc, "_minimize_fd", recording)
+    x0s = {"_minimize_fd": [], "_newton_box": []}
+    for name, x0_list in x0s.items():
+        def recording(fun, x0, *args, solve=getattr(dcc, name), x0_list=x0_list):
+            x0_list.append(x0)
+            return solve(fun, x0, *args)
+        monkeypatch.setattr(dcc, name, recording)
     for kind, fit in prev.items():
-        x0s.clear()
+        for x0_list in x0s.values():
+            x0_list.clear()
         warm = dcc.fit_dcc(e_next, kind, garch=garch_next, warm=fit)
-        assert len(x0s) == 1
-        params = dcc._corr_from_x(x0s[0])[0]
+        assert (len(x0s["_newton_box"]), len(x0s["_minimize_fd"])) == (1, 0)
+        params = dcc._corr_from_x(x0s["_newton_box"][0])[0]
         np.testing.assert_allclose(params, (fit.a, fit.b, fit.g), rtol=1e-12, atol=1e-15)
         cold = dcc.fit_dcc(e_next, kind, garch=garch_next)
         assert warm.loglik >= cold.loglik - 1e-9 * abs(cold.loglik)
         # a fallback, or a fit with no dynamics, is no optimum to start from
         for unusable in (dataclasses.replace(fit, fallback=True),
                          dataclasses.replace(fit, a=0.0, g=0.0)):
-            x0s.clear()
+            for x0_list in x0s.values():
+                x0_list.clear()
             dcc.fit_dcc(e_next, kind, garch=garch_next, warm=unusable)
-            assert len(x0s) == 3
+            assert (len(x0s["_newton_box"]), len(x0s["_minimize_fd"])) == (0, 3)
     with pytest.raises(TypeError, match="cannot start from"):
         dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=prev["adcc"])
+
+
+def simulate_adcc(rng, n, b, g, corr):
+    """Residuals of an ADCC recursion with a = 0: only negative shocks move Q."""
+    dim = corr.shape[0]
+    m = np.minimum(rng.multivariate_normal(np.zeros(dim), corr, 20000), 0.0)
+    nbar = m.T @ m / len(m)
+    q = corr.copy()
+    neg_prev = np.zeros(dim)
+    e = np.empty((n, dim))
+    for t in range(n):
+        q = (1 - b) * corr - g * nbar + b * q + g * np.outer(neg_prev, neg_prev)
+        d = 1.0 / np.sqrt(np.diag(q))
+        e[t] = np.linalg.cholesky(q * np.outer(d, d)) @ rng.standard_normal(dim)
+        neg_prev = np.minimum(e[t], 0.0)
+    return e
+
+
+def test_warm_adcc_solve_ends_on_the_a_zero_face(monkeypatch):
+    """A warm ADCC solve from an optimum with a = 0, on a window whose
+    optimum also has a = 0, holds a on that face and converges: its
+    projected gradient ends at most 1e-9, and its value within 1e-9
+    (relative) of an L-BFGS-B solve from the same start."""
+    rng = np.random.default_rng(5)
+    corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    e = simulate_adcc(rng, 301, 0.9, 0.08, corr)
+    prev = dcc.fit_dcc(e[:300], "adcc")
+    assert prev.a == 0.0 and prev.g > 0.0
+    solves = []
+    newton_box = dcc._newton_box
+
+    def recording(fun, x0):
+        solves.append((fun, x0, newton_box(fun, x0)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(dcc, "_newton_box", recording)
+    fit = dcc.fit_dcc(e[1:], "adcc", warm=prev)
+    assert fit.a == 0.0 and fit.g > 0.0
+    (fun, x0, res), = solves
+    assert dcc._projected_gradient(res.x, fun(res.x)[1]) <= 1e-9
+    ref = dcc._minimize_fd(fun, x0, [(0.0, 1.0)] * 3)
+    assert res.fun <= ref.fun + 1e-9 * abs(ref.fun)
+
+
+def test_warm_solves_stay_under_a_call_cap(bundled_windows, monkeypatch):
+    """Chained along the bundled anchors, each warm correlation fit makes at
+    most 10 kernel calls: a solve that stops only at the gradient tolerance
+    can run on where the likelihood no longer resolves a decrease."""
+    kernel_calls = []
+    solves = counting_solves(monkeypatch, kernel_calls)
+    for side in (0, 1):     # regular, adjusted
+        warm = None
+        for window in bundled_windows[side::2]:
+            _, *warm = pipeline._fit_window_pipeline(window, warm)
+    warm_solves = [res for res in solves if "nhev" in res]
+    assert len(warm_solves) == 2 * 2 * 3
+    assert max(res.nfev + res.nhev for res in warm_solves) <= 10
 
 
 class TestForecast:

@@ -205,3 +205,45 @@ def test_gradients_of_one_day_are_zero():
     np.testing.assert_array_equal(q_last, obar)
     _, grad = k.garch11_negloglik(np.array([0.7]), 0.1, 0.1, 0.8, 0.5)
     assert np.array_equal(grad, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# curvature
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [
+    (0.05, 0.90, 0.0),      # symmetric model
+    (0.03, 0.90, 0.04),     # asymmetric model
+    (0.0, 0.93, 0.03),      # asymmetric model on the a = 0 face
+])
+def test_corr_hessian_matches_central_differences_of_the_gradient(params):
+    rng = np.random.default_rng(7)
+    xi, neg, obar, nbar = make_corr_inputs(rng, 365, 5)
+
+    def gradient(a, b, g):
+        return k.corr_negloglik(xi, neg, obar, nbar, a, b, g)[1]
+
+    hess = k.corr_curvature(k.corr_terms(xi, neg, obar, nbar), *params)[3]
+    numeric = np.empty((3, 3))
+    for j in range(3):
+        up, down = list(params), list(params)
+        up[j] += 1e-6
+        down[j] -= 1e-6
+        numeric[:, j] = (gradient(*up) - gradient(*down)) / 2e-6
+    assert_gradient(hess, numeric)
+    np.testing.assert_array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("params", [(0.05, 0.90, 0.0), (0.0, 0.93, 0.03), (0.0, 0.0, 3.0)])
+def test_curvature_pass_equals_corr_negloglik(params):
+    """The pass that adds the Hessian returns corr_negloglik's value,
+    gradient and last Q bit for bit, with or without prebuilt terms (the
+    last point's recursion is indefinite)."""
+    rng = np.random.default_rng(8)
+    inputs = make_corr_inputs(rng, 200, 4)
+    terms = k.corr_terms(*inputs)
+    nll, grad, q_last, _ = k.corr_curvature(terms, *params)
+    for got in (k.corr_negloglik(*inputs, *params), k.corr_negloglik(*inputs, *params, terms=terms)):
+        assert got[0] == nll
+        np.testing.assert_array_equal(got[1], grad)
+        np.testing.assert_array_equal(got[2], q_last)

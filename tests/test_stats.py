@@ -142,6 +142,34 @@ class TestCoefficientTests:
         assert by_label["dcc: b"].direction == "down"
         assert by_label["adcc: b"].test.stars == "***"
 
+    def test_windows_without_dynamics_leave_the_b_rows(self):
+        """A DCC window with a = 0, or an ADCC window with a = g = 0, does not
+        identify b: it is left out of the rows that hold b, and each row
+        states the windows it used."""
+        rng = np.random.default_rng(9)
+        reg = {"dcc": rng.uniform(0.01, 0.9, (40, 2)), "adcc": rng.uniform(0.01, 0.3, (40, 3))}
+        adj = {k: rng.uniform(0.01, 0.3, v.shape) for k, v in reg.items()}
+        reg["dcc"][[3, 7], 0] = 0.0
+        reg["dcc"][[3, 7], 1] = 50.0        # an arbitrary b on the flat face
+        adj["adcc"][5, [0, 2]] = 0.0
+        adj["adcc"][5, 1] = -50.0
+        adj["adcc"][6, 0] = 0.0             # a = 0 with g > 0 still identifies b
+        rows = {r.label: r.test for r in coefficient_tests(reg, adj)}
+        counts = {label: (t.n1, t.n2) for label, t in rows.items()}
+        assert counts == {"dcc: a": (40, 40), "dcc: b": (38, 40), "dcc: a + b": (38, 40),
+                          "adcc: a": (40, 40), "adcc: b": (40, 39), "adcc: g": (40, 40),
+                          "adcc: a + b": (40, 39), "adcc: a + b + g": (40, 39)}
+        keep = np.ones(40, bool)
+        keep[[3, 7]] = False
+        want = two_sample_ttest(reg["dcc"][keep, 1], adj["dcc"][:, 1])
+        assert rows["dcc: b"] == want
+        assert abs(rows["adcc: b"].t_value) < 5.0
+        # one identified window left: the row is reported, not tested
+        reg["dcc"][1:, 0] = 0.0
+        row = coefficient_tests(reg, adj)[1].test
+        assert (row.n1, row.n2, row.dof, row.stars) == (1, 40, 39, "")
+        assert np.isnan(row.t_value) and np.isnan(row.p_two_sided)
+
     def test_dof_anchor(self):
         rng = np.random.default_rng(8)
         reg = {"dcc": rng.uniform(0, 1, (1877, 2)), "adcc": rng.uniform(0, 1, (1877, 3))}

@@ -13,7 +13,7 @@ gradient, which the fits hand to a quasi-Newton optimizer:
   (X_{t-1} - Obar, Q_{t-1} - Obar, M_{t-1} - Nbar), so filtering G backwards
   in time with pole b (the adjoint) gives all three derivatives from one
   pass over the d(d+1)/2 distinct entries;
-* the correlation Hessian (``corr_curvature``) adds the tangents
+* the correlation Hessian (``corr_hessian``) adds the tangents
   dQ_t/d(a, b, g), one more filter with pole b driven by the same three
   terms at t-1.  The second derivatives of Q are nonzero only in (a, b),
   (b, b) and (g, b), where they are dQ_{t-1} filtered again, so they
@@ -24,7 +24,9 @@ gradient, which the fits hand to a quasi-Newton optimizer:
   and the Hessian is half the sum of both parts over days.
 
 The correlation value, gradient and Hessian come from one forward pass,
-``_corr_pass``, fed the constants of a fit, which ``corr_terms`` builds once.
+``_corr_pass``, fed the constants of a fit, which ``CorrTerms`` builds once
+and which keep the last pass's state: the Hessian at the point just
+evaluated costs only its own terms.
 """
 
 from __future__ import annotations
@@ -101,15 +103,22 @@ def _inverse_factor(chol: np.ndarray) -> np.ndarray:
     return w
 
 
-def corr_terms(xi, xneg, obar, nbar) -> tuple:
-    """The constants of one fit: xi and the lower triangles of x x' and m m'
-    of every day but the last, of obar and of nbar."""
-    rows, cols = _lower_entries(xi.shape[1])[:2]
-    return (xi, xi[:-1, rows] * xi[:-1, cols], xneg[:-1, rows] * xneg[:-1, cols],
-            obar[rows, cols], nbar[rows, cols])
+class CorrTerms:
+    """The constants of one correlation fit: xi and the lower triangles of
+    x x' and m m' of every day but the last, of obar and of nbar.  ``last``
+    keeps the parameters, gradient and Hessian inputs of the last pass made
+    with these terms, so that ``corr_hessian`` there needs no second pass."""
+
+    def __init__(self, xi, xneg, obar, nbar):
+        rows, cols = _lower_entries(xi.shape[1])[:2]
+        self.xi = xi
+        self.xx = xi[:-1, rows] * xi[:-1, cols]
+        self.mm = xneg[:-1, rows] * xneg[:-1, cols]
+        self.o_low, self.n_low = obar[rows, cols], nbar[rows, cols]
+        self.last = None
 
 
-def corr_negloglik(xi, xneg, obar, nbar, a, b, g, terms: tuple | None = None):
+def corr_negloglik(xi, xneg, obar, nbar, a, b, g, terms: CorrTerms | None = None):
     """Gaussian negative log-likelihood of the correlation recursion, its
     gradient in (a, b, g), and the last Q.
 
@@ -119,31 +128,34 @@ def corr_negloglik(xi, xneg, obar, nbar, a, b, g, terms: tuple | None = None):
     the likelihood.  The value is +inf (with a zero gradient) when a
     rescaled matrix is not positive definite.  The 2*pi constant is
     excluded (it cancels in comparisons).  terms, when given, is
-    ``corr_terms(xi, xneg, obar, nbar)``, built once for many calls.
+    ``CorrTerms(xi, xneg, obar, nbar)``, built once for many calls.
     """
-    return _corr_pass(terms if terms is not None else corr_terms(xi, xneg, obar, nbar),
-                      a, b, g)[:3]
+    return _corr_pass(terms if terms is not None else CorrTerms(xi, xneg, obar, nbar), a, b, g)
 
 
-def corr_curvature(terms: tuple, a, b, g):
-    """``corr_negloglik``'s value, gradient and last Q at (a, b, g), and the
-    exact Hessian in (a, b, g) (zero where the value is +inf)."""
-    return _corr_pass(terms, a, b, g, curvature=True)
+def corr_hessian(terms: CorrTerms, a, b, g):
+    """The gradient and the exact Hessian of ``corr_negloglik`` in (a, b, g)
+    (zero where the value is +inf), from the last pass with terms when it
+    was made at (a, b, g)."""
+    if terms.last is None or terms.last[0] != (a, b, g):
+        _corr_pass(terms, a, b, g)
+    _, grad, state = terms.last
+    return grad, np.zeros((3, 3)) if state is None else _corr_hessian(terms, b, *state)
 
 
-def _corr_pass(terms: tuple, a, b, g, curvature: bool = False):
-    """The forward pass of the correlation recursion, its adjoint, and with
-    curvature its tangents; returns (nll, grad, q_last, hess).
+def _corr_pass(terms: CorrTerms, a, b, g):
+    """The forward pass of the correlation recursion and its adjoint; keeps
+    the Hessian's inputs in terms.last.
 
     The symmetric matrices are filtered as their lower triangles.  With
     z = P^-1 x, one day's term has gradient in Q
     G = D (P^-1 - z z') D - diag((1 - x_i z_i) / q_ii).
     """
-    xi, xx, mm, o_low, n_low = terms
+    xi, xx, mm, o_low, n_low = terms.xi, terms.xx, terms.mm, terms.o_low, terms.n_low
     n, dim = xi.shape
     rows, cols, weight, on_diag, full = _lower_entries(dim)
     grad = np.zeros(3)
-    hess = np.zeros((3, 3))
+    terms.last = (a, b, g), grad, None
     q = np.empty((n, rows.size))
     q[0] = o_low
     if n > 1:
@@ -154,13 +166,13 @@ def _corr_pass(terms: tuple, a, b, g, curvature: bool = False):
     q_last = q[-1][full]
     diag = q[:, on_diag]
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-        return np.inf, grad, q_last, hess
+        return np.inf, grad, q_last
     scale = 1.0 / np.sqrt(diag)
     outer = scale[:, rows] * scale[:, cols]
     try:
         chol = np.linalg.cholesky((q * outer)[:, full])
     except np.linalg.LinAlgError:
-        return np.inf, grad, q_last, hess
+        return np.inf, grad, q_last
     w = _inverse_factor(chol)
     w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
     y = np.einsum("tij,tj->ti", w, xi)
@@ -180,16 +192,15 @@ def _corr_pass(terms: tuple, a, b, g, curvature: bool = False):
         grad[1] = np.einsum("tk,tk->", lam, q[:-1]) - o_term
         grad[2] = np.einsum("tk,tk->", lam, mm) - lam_sum @ n_low
         grad *= 0.5
-        if curvature:
-            hess = _corr_hessian(xi, q, scale, outer, z, p_inv, lam, terms, b)
-    return float(nll), grad, q_last, hess
+        terms.last = (a, b, g), grad, (q, scale, outer, z, p_inv, lam)
+    return float(nll), grad, q_last
 
 
-def _corr_hessian(xi, q, scale, outer, z, p_inv, lam, terms: tuple, b) -> np.ndarray:
+def _corr_hessian(terms: CorrTerms, b, q, scale, outer, z, p_inv, lam) -> np.ndarray:
     """The Hessian of the correlation negative log-likelihood in (a, b, g),
     from the forward pass's Q path, its rescaling, z = P^-1 x, P^-1 and the
     adjoint lam of days 1..n-1."""
-    _, xx, mm, o_low, n_low = terms
+    xi, xx, mm, o_low, n_low = terms.xi, terms.xx, terms.mm, terms.o_low, terms.n_low
     _, _, _, on_diag, full = _lower_entries(xi.shape[1])
     drive = np.stack([xx - o_low, q[:-1] - o_low, mm - n_low], axis=1)
     tangent = lfilter([1.0], [1.0, -b], drive, axis=0)     # dq_t/d(a, b, g), t = 1..n-1

@@ -373,9 +373,12 @@ def _write_table3(cfg: RunConfig, fset: pipeline.ForecastSet) -> list[str]:
     rows = stats.coefficient_tests(
         fset.coefficients("regular"), fset.coefficients("adjusted")
     )
+    headers, body = stats.comparison_rows_table(rows)
+    # a row holding b leaves out the windows without correlation dynamics
+    body = [cells + [str(row.test.n1), str(row.test.n2)] for cells, row in zip(body, rows)]
     return _write_table(cfg, "table3",
                         "Two-sided tests: dynamics coefficients, regular vs adjusted",
-                        *stats.comparison_rows_table(rows))
+                        headers + ["n_regular", "n_adjusted"], body)
 
 
 def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from ._kernels import (LOG_2PI, corr_curvature, corr_negloglik, corr_terms, garch11_filter,
+from ._kernels import (LOG_2PI, CorrTerms, corr_hessian, corr_negloglik, garch11_filter,
                        garch11_negloglik)
 from .linalg import InsufficientDataError, floor_psd, min_eigenvalue, symmetrize
 
@@ -101,9 +101,10 @@ def _fit_box(fun, starts, bounds) -> np.ndarray | None:
     return min(finite, key=lambda res: res.fun).x if finite else None
 
 
-def _newton_box(fun, x0: np.ndarray) -> OptimizeResult:
+def _newton_box(fun, hessian, x0: np.ndarray) -> OptimizeResult:
     """One projected Newton solve (Bertsekas 1982) of ``fun`` on the unit box
-    from x0.  fun(x) returns (value, gradient), fun(x, True) also the Hessian.
+    from x0.  fun(x) returns (value, gradient); hessian(x) the Hessian at
+    the point fun evaluated last.
 
     Each step (at most 50) holds the coordinates that sit on a bound with
     the gradient pointing out of the box, takes a Newton step in the others
@@ -115,8 +116,9 @@ def _newton_box(fun, x0: np.ndarray) -> OptimizeResult:
     level, which the values no longer resolve.
     """
     x = np.clip(x0, 0.0, 1.0)
-    f, g, hess = fun(x, True)
-    res = OptimizeResult(nfev=0, nhev=1, nit=0)
+    f, g = fun(x)
+    hess = hessian(x)
+    res = OptimizeResult(nfev=1, nhev=1, nit=0)
     pg = _projected_gradient(x, g)
     while np.isfinite(f) and pg > _GTOL and res.nit < 50:
         free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
@@ -138,7 +140,7 @@ def _newton_box(fun, x0: np.ndarray) -> OptimizeResult:
         pg_trial = _projected_gradient(trial, g_trial)
         x, f, g = trial, f_trial, g_trial
         if cut or pg_trial > 0.1 * pg:
-            f, g, hess = fun(x, True)
+            hess = hessian(x)
             res.nhev += 1
         pg = pg_trial
     res.update(x=x, fun=f)
@@ -311,11 +313,12 @@ def fit_dcc(residuals, kind: str = "dcc", *,
 
     warm, when given, is a fit of the same kind on a related window (the
     previous anchor's): the correlation fit is then one Newton solve from
-    its optimum instead of L-BFGS-B solves from the fixed starts.  The fixed starts are still
-    used after a warm fit that fell back, which is no optimum, and after
-    one with a = g = 0: that fit has no correlation dynamics, so its b is
-    not identified, and at b on the cap no coordinate of the box moves
-    the likelihood, which would hold the solve at its start.  A warm fit
+    its optimum instead of L-BFGS-B solves from the fixed starts.  The
+    fixed starts are still used after a warm fit that fell back, which is
+    no optimum, and after one with a = g = 0: that fit has no correlation
+    dynamics, so its b is not identified, and at b on the cap no coordinate
+    of the box moves the likelihood, which would hold the solve at its
+    start.  A warm fit
     of the other kind is a bug, not a bad window, so it raises TypeError,
     which no caller takes for a failed anchor.
 
@@ -356,18 +359,20 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     # so that the point a solve returns is scored without another pass
     evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
 
-    terms = corr_terms(xi, neg, obar, nbar)
+    terms = CorrTerms(xi, neg, obar, nbar)
 
-    def objective(x, curvature=False):
+    def objective(x):
         params, jac = _corr_from_x(x)
-        if curvature:
-            nll, grad, q_last, hess = corr_curvature(terms, *params)
-        else:
-            nll, grad, q_last = corr_negloglik(xi, neg, obar, nbar, *params, terms=terms)
+        nll, grad, q_last = corr_negloglik(xi, neg, obar, nbar, *params, terms=terms)
         evaluated[x.tobytes()] = nll, q_last
-        if not curvature:
-            return nll / n, (grad / n) @ jac
-        return nll / n, (grad / n) @ jac, (jac.T @ hess @ jac + _corr_map_curvature(x, grad)) / n
+        return nll / n, (grad / n) @ jac
+
+    def box_hessian(x):
+        """objective's Hessian at x, from the kernel's pass when objective
+        evaluated x last."""
+        params, jac = _corr_from_x(x)
+        grad, hess = corr_hessian(terms, *params)
+        return (jac.T @ hess @ jac + _corr_map_curvature(x, grad)) / n
 
     vol_term = 0.5 * float(np.sum(np.log(h2)))
 
@@ -386,7 +391,7 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         a, b, g = 0.0, 0.0, 0.0
     else:
         if warm is not None and not warm.fallback and warm.a + warm.g > 0.0:
-            res = _newton_box(objective, _box_point(warm, size))
+            res = _newton_box(objective, box_hessian, _box_point(warm, size))
             best_x = res.x if np.isfinite(res.fun) else None
         else:
             best_x = _fit_box(objective, _corr_starts(kind), bounds)

@@ -273,8 +273,7 @@ def descriptive_rows_table(columns: Mapping[str, DescriptiveRow]) -> tuple[list[
 
 
 def comparison_rows_table(rows: Sequence[ComparisonRow]) -> tuple[list[str], list[list[str]]]:
-    headers = ["test", "t_value", "dof", "p_two_sided", "p_greater", "p_less", "sig", "direction",
-               "n_regular", "n_adjusted"]
+    headers = ["test", "t_value", "dof", "p_two_sided", "p_greater", "p_less", "sig", "direction"]
     body = []
     for row in rows:
         t = row.test
@@ -287,8 +286,6 @@ def comparison_rows_table(rows: Sequence[ComparisonRow]) -> tuple[list[str], lis
             f"{t.p_less:.4f}",
             t.stars,
             DIRECTION_GLYPHS[row.direction],
-            str(t.n1),
-            str(t.n2),
         ])
     return headers, body
 

@@ -1,13 +1,14 @@
 """GARCH(1,1) and conditional-correlation fitting and forecasting."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from liqcov import dcc, pipeline, vecm
+from liqcov import _kernels, dcc, pipeline, vecm
 from liqcov._kernels import corr_negloglik, garch11_filter, garch11_negloglik
 from liqcov.marketdata import CalendarSpec, ingest_minute_csv
 from liqcov.synthetic import write_synthetic_csv
@@ -365,25 +366,21 @@ def correlated_residuals():
 
 
 def counting_solves(monkeypatch, kernel_calls: list) -> list:
-    """Wrap both solvers and both correlation kernels: each solve appends its
-    result, each kernel call appends to kernel_calls."""
+    """Wrap both solvers and the correlation kernel's forward pass: each
+    solve appends its result, each pass appends to kernel_calls."""
     results = []
 
-    def solve(fn):
-        def counted(*args):
-            results.append(fn(*args))
-            return results[-1]
-        return counted
+    def solve(*args, fn):
+        results.append(fn(*args))
+        return results[-1]
 
-    def kernel(fn):
-        def counted(*args, **kwargs):
-            kernel_calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return counted
+    def kernel(*args, fn):
+        kernel_calls.append(args)
+        return fn(*args)
 
-    for name, wrap in (("_minimize_fd", solve), ("_newton_box", solve),
-                       ("corr_negloglik", kernel), ("corr_curvature", kernel)):
-        monkeypatch.setattr(dcc, name, wrap(getattr(dcc, name)))
+    for module, name, wrap in ((dcc, "_minimize_fd", solve), (dcc, "_newton_box", solve),
+                               (_kernels, "_corr_pass", kernel)):
+        monkeypatch.setattr(module, name, functools.partial(wrap, fn=getattr(module, name)))
     return results
 
 
@@ -397,18 +394,19 @@ def test_each_optimum_is_scored_from_its_evaluation(correlated_residuals, monkey
     dcc.fit_dcc(e, "adcc", garch=garch, nested=above)
     dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=dcc_fit)
     assert len(solves) == 3 + 3 + 1 + 1      # starts, starts and re-solve, warm solve
-    assert "nhev" in solves[-1]              # the warm solve is the Newton solve
-    assert len(kernel_calls) == sum(res.nfev + res.get("nhev", 0) for res in solves)
+    assert solves[-1].nhev > 0               # the warm solve is the Newton solve
+    # one pass per evaluation: no scoring pass, and each Hessian reuses one
+    assert len(kernel_calls) == sum(res.nfev for res in solves)
 
 
 def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, monkeypatch):
     (e, garch), (e_next, garch_next) = correlated_residuals
     prev = {kind: dcc.fit_dcc(e, kind, garch=garch) for kind in ("dcc", "adcc")}
     x0s = {"_minimize_fd": [], "_newton_box": []}
-    for name, x0_list in x0s.items():
-        def recording(fun, x0, *args, solve=getattr(dcc, name), x0_list=x0_list):
-            x0_list.append(x0)
-            return solve(fun, x0, *args)
+    for (name, x0_list), at in zip(x0s.items(), (1, 2)):       # x0's place in each solve's call
+        def recording(*args, solve=getattr(dcc, name), x0_list=x0_list, at=at):
+            x0_list.append(args[at])
+            return solve(*args)
         monkeypatch.setattr(dcc, name, recording)
     for kind, fit in prev.items():
         for x0_list in x0s.values():
@@ -459,8 +457,8 @@ def test_warm_adcc_solve_ends_on_the_a_zero_face(monkeypatch):
     solves = []
     newton_box = dcc._newton_box
 
-    def recording(fun, x0):
-        solves.append((fun, x0, newton_box(fun, x0)))
+    def recording(fun, hessian, x0):
+        solves.append((fun, x0, newton_box(fun, hessian, x0)))
         return solves[-1][2]
 
     monkeypatch.setattr(dcc, "_newton_box", recording)

@@ -223,7 +223,7 @@ def test_corr_hessian_matches_central_differences_of_the_gradient(params):
     def gradient(a, b, g):
         return k.corr_negloglik(xi, neg, obar, nbar, a, b, g)[1]
 
-    hess = k.corr_curvature(k.corr_terms(xi, neg, obar, nbar), *params)[3]
+    hess = k.corr_hessian(k.CorrTerms(xi, neg, obar, nbar), *params)[1]
     numeric = np.empty((3, 3))
     for j in range(3):
         up, down = list(params), list(params)
@@ -235,15 +235,35 @@ def test_corr_hessian_matches_central_differences_of_the_gradient(params):
 
 
 @pytest.mark.parametrize("params", [(0.05, 0.90, 0.0), (0.0, 0.93, 0.03), (0.0, 0.0, 3.0)])
-def test_curvature_pass_equals_corr_negloglik(params):
-    """The pass that adds the Hessian returns corr_negloglik's value,
-    gradient and last Q bit for bit, with or without prebuilt terms (the
-    last point's recursion is indefinite)."""
+def test_hessian_reuses_the_last_pass(params):
+    """With prebuilt terms the kernel returns its value, gradient and last Q
+    bit for bit; the Hessian at the point just evaluated reuses that pass
+    and equals one from a fresh pass (the last point's recursion is
+    indefinite, so its Hessian is zero)."""
     rng = np.random.default_rng(8)
     inputs = make_corr_inputs(rng, 200, 4)
-    terms = k.corr_terms(*inputs)
-    nll, grad, q_last, _ = k.corr_curvature(terms, *params)
-    for got in (k.corr_negloglik(*inputs, *params), k.corr_negloglik(*inputs, *params, terms=terms)):
-        assert got[0] == nll
-        np.testing.assert_array_equal(got[1], grad)
-        np.testing.assert_array_equal(got[2], q_last)
+    terms = k.CorrTerms(*inputs)
+    nll, grad, q_last = k.corr_negloglik(*inputs, *params)
+    got = k.corr_negloglik(*inputs, *params, terms=terms)
+    assert got[0] == nll
+    np.testing.assert_array_equal(got[1], grad)
+    np.testing.assert_array_equal(got[2], q_last)
+    passes = []
+    corr_pass = k._corr_pass
+
+    def counting(*args):
+        passes.append(args)
+        return corr_pass(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(k, "_corr_pass", counting)
+        grad_h, hess = k.corr_hessian(terms, *params)
+        assert not passes
+        other = (params[0] + 0.01, *params[1:])
+        k.corr_hessian(terms, *other)
+        assert len(passes) == 1
+        fresh = k.corr_hessian(k.CorrTerms(*inputs), *params)
+    np.testing.assert_array_equal(grad_h, grad)
+    np.testing.assert_array_equal(fresh[1], hess)
+    if np.isinf(nll):
+        assert not hess.any()

@@ -426,6 +426,11 @@ class TestCommands:
             assert os.path.exists(out / name), name
         table4 = (out / "table4.csv").read_text()
         assert table4.count("\n") == 7   # header + six variants
+        # only Table 3 leaves windows out of a row, so only it counts them
+        header = {name: (out / name).read_text().splitlines()[0].split(",")
+                  for name in ("table2.csv", "table3.csv")}
+        assert header["table2.csv"][-1] == "direction"
+        assert header["table3.csv"][-3:] == ["direction", "n_regular", "n_adjusted"]
 
         # resumed run loads persisted posteriors and reproduces outputs
         before = (out / "variant_6.csv").read_bytes()

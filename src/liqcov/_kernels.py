@@ -23,10 +23,10 @@ gradient, which the fits hand to a quasi-Newton optimizer:
   -tr(K dQ_i K dQ_j) + sum_k e_ik e_jk (1 - x_k z_k / 2) + 2 c_i' K c_j,
   and the Hessian is half the sum of both parts over days.
 
-The correlation value, gradient and Hessian come from one forward pass,
-``_corr_pass``, fed the constants of a fit, which ``CorrTerms`` builds once
-and which keep the last pass's state: the Hessian at the point just
-evaluated costs only its own terms.
+The correlation kernels take one input besides (a, b, g): ``CorrTerms``,
+the constants of one standardized window, built once for every fit of that
+window.  ``corr_negloglik`` is the forward pass; it keeps its state on the
+terms, so the Hessian at the point just evaluated costs only its own terms.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def _inverse_factor(chol: np.ndarray) -> np.ndarray:
 
 
 class CorrTerms:
-    """The constants of one correlation fit: xi and the lower triangles of
-    x x' and m m' of every day but the last, of obar and of nbar.  ``last``
-    keeps the parameters, gradient and Hessian inputs of the last pass made
-    with these terms, so that ``corr_hessian`` there needs no second pass."""
+    """The constants of one standardized window, for all its correlation
+    fits: xi and the lower triangles of x x' and m m' of every day but the
+    last, of obar and of nbar.  ``last`` keeps the inputs of the Hessian at
+    the last pass made with these terms, which ``corr_hessian`` reuses."""
 
     def __init__(self, xi, xneg, obar, nbar):
         rows, cols = _lower_entries(xi.shape[1])[:2]
@@ -118,34 +118,16 @@ class CorrTerms:
         self.last = None
 
 
-def corr_negloglik(xi, xneg, obar, nbar, a, b, g, terms: CorrTerms | None = None):
+def corr_negloglik(terms: CorrTerms, a, b, g):
     """Gaussian negative log-likelihood of the correlation recursion, its
-    gradient in (a, b, g), and the last Q.
+    gradient in (a, b, g), and the last Q (the pass's state goes to terms).
 
     Q_0 = obar; Q_t = (1-a-b) obar - g nbar + a x x' + b Q_{t-1} + g m m'
     with x, m the standardized and negative-part residuals of day t-1.  Each
     Q_t is rescaled to unit diagonal, P_t = D_t Q_t D_t, before it enters
     the likelihood.  The value is +inf (with a zero gradient) when a
     rescaled matrix is not positive definite.  The 2*pi constant is
-    excluded (it cancels in comparisons).  terms, when given, is
-    ``CorrTerms(xi, xneg, obar, nbar)``, built once for many calls.
-    """
-    return _corr_pass(terms if terms is not None else CorrTerms(xi, xneg, obar, nbar), a, b, g)
-
-
-def corr_hessian(terms: CorrTerms, a, b, g):
-    """The gradient and the exact Hessian of ``corr_negloglik`` in (a, b, g)
-    (zero where the value is +inf), from the last pass with terms when it
-    was made at (a, b, g)."""
-    if terms.last is None or terms.last[0] != (a, b, g):
-        _corr_pass(terms, a, b, g)
-    _, grad, state = terms.last
-    return grad, np.zeros((3, 3)) if state is None else _corr_hessian(terms, b, *state)
-
-
-def _corr_pass(terms: CorrTerms, a, b, g):
-    """The forward pass of the correlation recursion and its adjoint; keeps
-    the Hessian's inputs in terms.last.
+    excluded (it cancels in comparisons).
 
     The symmetric matrices are filtered as their lower triangles.  With
     z = P^-1 x, one day's term has gradient in Q
@@ -194,6 +176,16 @@ def _corr_pass(terms: CorrTerms, a, b, g):
         grad *= 0.5
         terms.last = (a, b, g), grad, (q, scale, outer, z, p_inv, lam)
     return float(nll), grad, q_last
+
+
+def corr_hessian(terms: CorrTerms, a, b, g):
+    """The gradient and the exact Hessian of ``corr_negloglik`` in (a, b, g)
+    (zero where the value is +inf), from the last pass with terms when it
+    was made at (a, b, g)."""
+    if terms.last is None or terms.last[0] != (a, b, g):
+        corr_negloglik(terms, a, b, g)
+    _, grad, state = terms.last
+    return grad, np.zeros((3, 3)) if state is None else _corr_hessian(terms, b, *state)
 
 
 def _corr_hessian(terms: CorrTerms, b, q, scale, outer, z, p_inv, lam) -> np.ndarray:

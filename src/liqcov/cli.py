@@ -397,10 +397,11 @@ def run_backtest_stage(cfg: RunConfig) -> list[portfolio.BacktestResult]:
     posterior_regular = posterior_adjusted = None
     if set(cfg.variants) & {5, 6}:
         run_forecast(cfg)
-        posterior_regular = pipeline.read_posteriors_csv(
-            os.path.join(cfg.out_dir, "posteriors_regular.csv"))
-        posterior_adjusted = pipeline.read_posteriors_csv(
-            os.path.join(cfg.out_dir, "posteriors_adjusted.csv"))
+        try:
+            posterior_regular, posterior_adjusted = (pipeline.read_posteriors_csv(
+                os.path.join(cfg.out_dir, f"posteriors_{side}.csv")) for side in pipeline.PIPELINES)
+        except ValueError as exc:       # a posterior file edited or cut short on disk
+            raise click.ClickException(str(exc)) from exc
 
     try:
         results = portfolio.run_backtest(

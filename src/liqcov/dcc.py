@@ -7,18 +7,18 @@ stationarity constraint; stage two fits the correlation dynamics
     Q_{t+1} = (1-a-b) Qbar - g Nbar + a x_t x_t' + b Q_t + g m_t m_t'   (asymmetric)
 
 on the standardized residuals x_t (m_t keeps only their negative parts),
-again by Gaussian quasi-MLE.  Both stages minimize the per-observation
-negative log-likelihood with L-BFGS-B and exact gradients, once from each of
-two (GARCH) or three (correlation) fixed starts; a third GARCH start or a
-restart barely moved a fit (``_fit_box``).  Given the fit of a related
-window, a correlation fit is instead solved once from that fit's optimum
-(a warm start), by projected Newton steps on the exact Hessian
+again by Gaussian quasi-MLE.  Both correlation fits of a window read the one
+standardized window of its ``GarchStage``.  Both stages minimize the
+per-observation negative log-likelihood with L-BFGS-B and exact gradients,
+once from each of two (GARCH) or three (correlation) fixed starts; a third
+GARCH start or a restart barely moved a fit (``_fit_box``).  Given the fit
+of a related window, a correlation fit is instead solved once from that
+fit's optimum (a warm start), by projected Newton steps on the exact Hessian
 (``_newton_box``): next to the optimum, one Hessian reused over a few steps
-converges in 3-5 calls where L-BFGS-B takes 7-35.  The GARCH fits always
-use their fixed starts, as warm starts there missed the better optimum in
-many short windows.  The fits run
-on box-bounded coordinates in which positivity and the stationarity simplex
-are the box:
+converges in 3-5 calls where L-BFGS-B takes 7-35.  The GARCH fits always use
+their fixed starts, as warm starts there missed the better optimum in many
+short windows.  The fits run on box-bounded coordinates in which positivity
+and the stationarity simplex are the box:
 
     GARCH:  p = alpha + beta in [0, cap], r = alpha / p in [0, 1],
             u = log(omega / var_s) in [-25, 5]
@@ -284,32 +284,51 @@ def _box_point(fit: DccFit, size: int) -> np.ndarray:
     return np.clip([fit.b / _CORR_CAP, v2, v3][:size], 0.0, 1.0)
 
 
-def _standardize(residuals: np.ndarray, garch: tuple[Garch11Params, ...]) -> tuple[np.ndarray, np.ndarray]:
-    n, dim = residuals.shape
+@dataclass(frozen=True)
+class GarchStage:
+    """Stage one of a window, read by both its correlation fits: residuals,
+    GARCH(1,1) fits, variance paths h2, obar, nbar and the kernel's terms."""
+
+    residuals: np.ndarray
+    garch: tuple[Garch11Params, ...]
+    h2: np.ndarray
+    obar: np.ndarray
+    nbar: np.ndarray
+    terms: CorrTerms
+
+
+def fit_garch_stage(residuals) -> GarchStage:
+    """Stage one of (n_obs, n_assets) residuals: a GARCH(1,1) fit per column."""
+    e = np.ascontiguousarray(residuals, dtype=np.float64)
+    if e.ndim != 2:
+        raise ValueError("residuals must be (n_obs, n_assets)")
+    n, dim = e.shape
+    garch = tuple(fit_garch11(e[:, i]) for i in range(dim))
     h2 = np.empty((n, dim))
-    for i in range(dim):
-        eps2 = np.ascontiguousarray(residuals[:, i] ** 2)
-        h2[:, i] = garch11_filter(eps2, garch[i].omega, garch[i].alpha, garch[i].beta,
-                                  float(eps2.mean()))
-    return h2, residuals / np.sqrt(h2)
+    for i, p in enumerate(garch):
+        eps2 = np.ascontiguousarray(e[:, i] ** 2)
+        h2[:, i] = garch11_filter(eps2, p.omega, p.alpha, p.beta, float(eps2.mean()))
+    xi = np.ascontiguousarray(e / np.sqrt(h2))
+    neg = np.ascontiguousarray(np.where(xi < 0.0, xi, 0.0))
+    second = xi.T @ xi / n
+    diag = np.sqrt(np.diag(second))
+    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+        raise ValueError("standardized residuals have a degenerate second moment")
+    obar = np.ascontiguousarray(symmetrize(second / np.outer(diag, diag)))
+    np.fill_diagonal(obar, 1.0)
+    nbar = np.ascontiguousarray(symmetrize(neg.T @ neg / n))
+    return GarchStage(e, garch, h2, obar, nbar, CorrTerms(xi, neg, obar, nbar))
 
 
-def fit_garch_stage(residuals) -> tuple[Garch11Params, ...]:
-    """Stage one: a GARCH(1,1) fit per column of (n_obs, n_assets) residuals."""
-    return tuple(fit_garch11(residuals[:, i]) for i in range(residuals.shape[1]))
-
-
-def fit_dcc(residuals, kind: str = "dcc", *,
-            garch: tuple[Garch11Params, ...] | None = None,
-            nested: DccFit | None = None,
+def fit_dcc(residuals, kind: str = "dcc", *, nested: DccFit | None = None,
             warm: DccFit | None = None) -> DccFit:
     """Two-stage fit of the conditional covariance dynamics.
 
-    residuals is (n_obs, n_assets).  kind selects the symmetric ("dcc") or
-    asymmetric ("adcc") correlation recursion.  garch, when given, is the
-    stage-one fit of these residuals (``fit_garch_stage``), which does not
-    depend on kind, so fits of both kinds can share it.  Non-convergence
-    falls back to (a, b) = (0.02, 0.95) with the fallback flag set.
+    residuals is an (n_obs, n_assets) array, whose GARCH stage is fitted
+    here, or that stage (``fit_garch_stage``), which fits of both kinds can
+    share.  kind selects the symmetric ("dcc") or asymmetric ("adcc")
+    correlation recursion.  Non-convergence falls back to (a, b) =
+    (0.02, 0.95) with the fallback flag set.
 
     warm, when given, is a fit of the same kind on a related window (the
     previous anchor's): the correlation fit is then one Newton solve from
@@ -318,14 +337,13 @@ def fit_dcc(residuals, kind: str = "dcc", *,
     no optimum, and after one with a = g = 0: that fit has no correlation
     dynamics, so its b is not identified, and at b on the cap no coordinate
     of the box moves the likelihood, which would hold the solve at its
-    start.  A warm fit
-    of the other kind is a bug, not a bad window, so it raises TypeError,
-    which no caller takes for a failed anchor.
+    start.  A warm fit of the other kind is a bug, not a bad window, so it
+    raises TypeError, which no caller takes for a failed anchor.
 
-    nested, for an "adcc" fit, is the "dcc" fit of the same residuals and
-    GARCH stage.  ADCC with g = 0 is DCC, so an ADCC fit that ends below
-    it (by more than rounding) is solved once more from its optimum, and
-    the better of the two results is kept.
+    nested, for an "adcc" fit, is the "dcc" fit made from the same stage
+    object (another stage raises ValueError).  ADCC with g = 0 is DCC, so
+    an ADCC fit that ends below it (by more than rounding) is solved once
+    more from its optimum, and the better of the two results is kept.
     """
     if kind not in ("dcc", "adcc"):
         raise ValueError(f"kind must be 'dcc' or 'adcc', got {kind!r}")
@@ -333,37 +351,18 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         raise ValueError("only an 'adcc' fit nests a 'dcc' fit")
     if warm is not None and warm.kind != kind:
         raise TypeError(f"a {kind!r} fit cannot start from a {warm.kind!r} fit")
-    e = np.ascontiguousarray(residuals, dtype=np.float64)
-    if e.ndim != 2:
-        raise ValueError("residuals must be (n_obs, n_assets)")
-    n, dim = e.shape
-    if garch is None:
-        garch = fit_garch_stage(e)
-    elif len(garch) != dim:
-        raise ValueError(f"{len(garch)} GARCH fits for {dim} residual series")
-    if nested is not None and nested.garch != garch:
+    stage = residuals if isinstance(residuals, GarchStage) else fit_garch_stage(residuals)
+    if nested is not None and nested.garch is not stage.garch:
         raise ValueError("the nested DCC fit has another GARCH stage")
-    h2, xi = _standardize(e, garch)
-    xi = np.ascontiguousarray(xi)
-    neg = np.ascontiguousarray(np.where(xi < 0.0, xi, 0.0))
-
-    second = xi.T @ xi / n
-    diag = np.sqrt(np.diag(second))
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise ValueError("standardized residuals have a degenerate second moment")
-    obar = np.ascontiguousarray(symmetrize(second / np.outer(diag, diag)))
-    np.fill_diagonal(obar, 1.0)
-    nbar = np.ascontiguousarray(symmetrize(neg.T @ neg / n))
+    n, dim = stage.residuals.shape
 
     # the kernel's value and last Q at each box point the solves evaluate,
     # so that the point a solve returns is scored without another pass
     evaluated: dict[bytes, tuple[float, np.ndarray]] = {}
 
-    terms = CorrTerms(xi, neg, obar, nbar)
-
     def objective(x):
         params, jac = _corr_from_x(x)
-        nll, grad, q_last = corr_negloglik(xi, neg, obar, nbar, *params, terms=terms)
+        nll, grad, q_last = corr_negloglik(stage.terms, *params)
         evaluated[x.tobytes()] = nll, q_last
         return nll / n, (grad / n) @ jac
 
@@ -371,16 +370,16 @@ def fit_dcc(residuals, kind: str = "dcc", *,
         """objective's Hessian at x, from the kernel's pass when objective
         evaluated x last."""
         params, jac = _corr_from_x(x)
-        grad, hess = corr_hessian(terms, *params)
+        grad, hess = corr_hessian(stage.terms, *params)
         return (jac.T @ hess @ jac + _corr_map_curvature(x, grad)) / n
 
-    vol_term = 0.5 * float(np.sum(np.log(h2)))
+    vol_term = 0.5 * float(np.sum(np.log(stage.h2)))
 
     def score(params, x=None):
         """The full log-likelihood at (a, b, g), and the last Q; read from
         the evaluation at box point x where a solve made one."""
         seen = None if x is None else evaluated.get(x.tobytes())
-        nll_corr, q_last = seen or corr_negloglik(xi, neg, obar, nbar, *params, terms=terms)[::2]
+        nll_corr, q_last = seen or corr_negloglik(stage.terms, *params)[::2]
         return float(-(nll_corr + 0.5 * n * dim * LOG_2PI + vol_term)), q_last
 
     size = 2 if kind == "dcc" else 3
@@ -416,10 +415,10 @@ def fit_dcc(residuals, kind: str = "dcc", *,
             (a, b, g), loglik, q_last, fallback = params, nested_loglik, nested_q, False
 
     # the state of the last residual's own day, stepped over that residual
-    last_day = DccFit(kind=kind, a=float(a), b=float(b), g=float(g), obar=obar, nbar=nbar,
-                      loglik=loglik, garch=garch, h2_next=h2[-1], o_next=q_last,
-                      fallback=fallback)
-    return advance(last_day, e[-1])
+    last_day = DccFit(kind=kind, a=float(a), b=float(b), g=float(g), obar=stage.obar,
+                      nbar=stage.nbar, loglik=loglik, garch=stage.garch,
+                      h2_next=stage.h2[-1], o_next=q_last, fallback=fallback)
+    return advance(last_day, stage.residuals[-1])
 
 
 def select_best(dcc_fit: DccFit, adcc_fit: DccFit) -> DccFit:

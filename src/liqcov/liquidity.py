@@ -150,17 +150,14 @@ def _adjusted(grid: MinuteGrid) -> tuple[np.ndarray, float] | None:
     return r_adj, var_adj
 
 
-def asset_day(grid: MinuteGrid) -> AssetDay:
-    """Day-level regular and adjusted return/volatility of one MinuteGrid.
+def _asset_day(grid: MinuteGrid, adjusted: tuple[np.ndarray, float] | None) -> AssetDay:
+    """Day-level regular and adjusted return/volatility of one MinuteGrid,
+    given its ``_adjusted`` minutes.
 
     Daily volatility is sqrt(T * minute-level variance).  Days where the
     adjustment is undefined fall back to the regular series and are flagged
     degenerate.
     """
-    return _asset_day(grid, _adjusted(grid))
-
-
-def _asset_day(grid: MinuteGrid, adjusted: tuple[np.ndarray, float] | None) -> AssetDay:
     t = grid.returns.shape[0]
     ret = daily_compound_return(grid.returns)
     var_minute = float(np.mean((grid.returns - grid.returns.mean()) ** 2))

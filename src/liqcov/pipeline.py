@@ -212,10 +212,10 @@ def _fit_window_pipeline(q_window: np.ndarray, warm: tuple | None = None):
     lag = vecm_mod.select_lag(
         q_window, max_lag=min(vecm_mod.MAX_LAG, q_window.shape[0] - dcc_mod.GARCH_MIN_OBS))
     fit = vecm_mod.fit_vecm(q_window, lag)
-    garch = dcc_mod.fit_garch_stage(fit.residuals)
+    stage = dcc_mod.fit_garch_stage(fit.residuals)
     warm_dcc, warm_adcc = warm or (None, None)
-    dcc_fit = dcc_mod.fit_dcc(fit.residuals, "dcc", garch=garch, warm=warm_dcc)
-    adcc_fit = dcc_mod.fit_dcc(fit.residuals, "adcc", garch=garch, nested=dcc_fit, warm=warm_adcc)
+    dcc_fit = dcc_mod.fit_dcc(stage, "dcc", warm=warm_dcc)
+    adcc_fit = dcc_mod.fit_dcc(stage, "adcc", nested=dcc_fit, warm=warm_adcc)
     return fit, dcc_fit, adcc_fit
 
 
@@ -430,18 +430,28 @@ def write_posteriors_csv(path, fset: ForecastSet, pipeline: str) -> None:
 
 
 def read_posteriors_csv(path) -> dict[dt.date, np.ndarray]:
+    """The matrices of a ``write_posteriors_csv`` file, by date.  Each date
+    must give every cell of one n x n matrix, with the same n for every
+    date; otherwise ValueError names the file, the date and the cell."""
     cells: dict[dt.date, dict[tuple[int, int], float]] = {}
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
-            date = dt.date.fromisoformat(row[0])
-            cells.setdefault(date, {})[(int(row[1]), int(row[2]))] = float(row[3])
-    out = {}
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"{len(row)} fields, not 4")
+                day = cells.setdefault(dt.date.fromisoformat(row[0]), {})
+                day[(int(row[1]), int(row[2]))] = float(row[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    out, size = {}, None
     for date, vals in cells.items():
-        n = max(i for i, _ in vals) + 1
-        mat = np.empty((n, n))
-        for (i, j), v in vals.items():
-            mat[i, j] = v
-        out[date] = mat
+        size = size or max(max(cell) for cell in vals) + 1
+        grid = [(i, j) for i in range(size) for j in range(size)]
+        if missing := sorted(set(grid) - vals.keys()):
+            raise ValueError(f"{path}: {date} has no cell {missing[0]} of a {size} x {size} matrix")
+        if len(vals) > len(grid):
+            raise ValueError(f"{path}: {date} has {len(vals)} cells, not {size} x {size}")
+        out[date] = np.array([vals[cell] for cell in grid]).reshape(size, size)
     return out

@@ -777,6 +777,25 @@ class TestBacktestResume:
         assert len(sharpe_lines) == 6
         assert [line for line in resumed.output.splitlines() if "SR_a = " in line] == sharpe_lines
 
+    def test_posterior_file_without_a_cell_fails_the_command(self, data_csv, complete_tree,
+                                                             tmp_path):
+        """The backtest reads the forecast stage's posteriors back from disk;
+        a row deleted there exits 1 with a message naming the cell."""
+        out = shutil.copytree(complete_tree, tmp_path / "out")
+        lines = (out / "posteriors_regular.csv").read_text().splitlines(keepends=True)
+        date = lines[-1].split(",")[0]
+        (out / "posteriors_regular.csv").write_text(
+            "".join(line for line in lines if not line.startswith(f"{date},1,2,")))
+        (out / "variant_5.csv").unlink()        # the backtest stage runs again
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(data_csv=data_csv, out_dir=str(out),
+                                            minutes_per_day=16, window_days=90,
+                                            refit_stride=10)))
+        result = CliRunner().invoke(main, ["backtest", "-c", str(cfg_path)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert "posteriors_regular.csv" in result.output
+        assert f"{date} has no cell (1, 2) of a 3 x 3 matrix" in result.output
+
     def test_carried_forward_day_survives_the_resume(self, data_csv, tmp_path, monkeypatch):
         cfg = self.config(data_csv, tmp_path / "out")
         with monkeypatch.context() as patch:

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from liqcov import _kernels, dcc, pipeline, vecm
-from liqcov._kernels import corr_negloglik, garch11_filter, garch11_negloglik
+from liqcov._kernels import CorrTerms, corr_negloglik, garch11_filter, garch11_negloglik
 from liqcov.marketdata import CalendarSpec, ingest_minute_csv
 from liqcov.synthetic import write_synthetic_csv
 
@@ -87,7 +87,7 @@ class TestDccFit:
         np.fill_diagonal(obar, 1.0)
         neg = np.where(xi < 0, xi, 0.0)
         nbar = np.zeros((2, 2))
-        nll = corr_negloglik(xi, neg, obar, nbar, 0.0, 0.0, 0.0)[0]
+        nll = corr_negloglik(CorrTerms(xi, neg, obar, nbar), 0.0, 0.0, 0.0)[0]
         # constant-correlation oracle
         inv = np.linalg.inv(obar)
         _, logdet = np.linalg.slogdet(obar)
@@ -114,8 +114,9 @@ class TestDccFit:
         neg = np.where(xi < 0, xi, 0.0)
         nbar = neg.T @ neg / 300
         assert np.all(nbar == 0.0)
-        nll_dcc = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.0)[0]
-        nll_adcc = corr_negloglik(xi, neg, obar, nbar, 0.04, 0.9, 0.03)[0]
+        terms = CorrTerms(xi, neg, obar, nbar)
+        nll_dcc = corr_negloglik(terms, 0.04, 0.9, 0.0)[0]
+        nll_adcc = corr_negloglik(terms, 0.04, 0.9, 0.03)[0]
         assert nll_adcc == pytest.approx(nll_dcc, rel=1e-12)
 
     def test_adcc_stationarity_and_selection(self):
@@ -130,22 +131,22 @@ class TestDccFit:
 
     @pytest.mark.parametrize("kind", ["dcc", "adcc"])
     def test_prefit_garch_stage_gives_identical_fit(self, kind):
+        """A fit from a stage that the other kind's fit has read equals a
+        fit from the residuals array."""
         rng = np.random.default_rng(7)
         corr = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.0]])
         e = simulate_dcc(rng, 400, 0.05, 0.9, corr)
         fresh = dcc.fit_dcc(e, kind)
-        shared = dcc.fit_dcc(e, kind, garch=dcc.fit_garch_stage(e))
+        stage = dcc.fit_garch_stage(e)
+        dcc.fit_dcc(stage, "adcc" if kind == "dcc" else "dcc")
+        shared = dcc.fit_dcc(stage, kind)
+        assert shared.garch is stage.garch
         for field in dataclasses.fields(dcc.DccFit):
             a, b = getattr(fresh, field.name), getattr(shared, field.name)
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b), field.name
             else:
                 assert a == b, field.name
-
-    def test_prefit_garch_stage_must_match_assets(self):
-        e = np.random.default_rng(8).standard_normal((200, 2))
-        with pytest.raises(ValueError, match="GARCH fits"):
-            dcc.fit_dcc(e, "dcc", garch=dcc.fit_garch_stage(e[:, :1]))
 
     def test_select_best_rules(self):
         rng = np.random.default_rng(5)
@@ -161,12 +162,10 @@ class TestDccFit:
         rng = np.random.default_rng(6)
         corr = np.array([[1.0, 0.6], [0.6, 1.0]])
         e = simulate_dcc(rng, 600, 0.06, 0.88, corr)
-        fit = dcc.fit_dcc(e, "dcc")
-        h2, xi = dcc._standardize(e, fit.garch)
-        xi = np.ascontiguousarray(xi)
-        neg = np.ascontiguousarray(np.where(xi < 0, xi, 0.0))
-        nll_const = corr_negloglik(xi, neg, fit.obar, fit.nbar, 0.0, 0.0, 0.0)[0]
-        nll_fit = corr_negloglik(xi, neg, fit.obar, fit.nbar, fit.a, fit.b, fit.g)[0]
+        stage = dcc.fit_garch_stage(e)
+        fit = dcc.fit_dcc(stage, "dcc")
+        nll_const = corr_negloglik(stage.terms, 0.0, 0.0, 0.0)[0]
+        nll_fit = corr_negloglik(stage.terms, fit.a, fit.b, fit.g)[0]
         assert nll_fit <= nll_const + 1e-9
 
 
@@ -178,8 +177,8 @@ class TestNesting:
     def fits():
         rng = np.random.default_rng(4)
         e = simulate_dcc(rng, 800, 0.04, 0.9, np.array([[1.0, 0.3], [0.3, 1.0]]))
-        garch = dcc.fit_garch_stage(e)
-        return e, garch, dcc.fit_dcc(e, "dcc", garch=garch)
+        stage = dcc.fit_garch_stage(e)
+        return e, stage, dcc.fit_dcc(stage, "dcc")
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
@@ -194,13 +193,13 @@ class TestNesting:
         return solves
 
     def test_adcc_below_dcc_is_solved_from_the_dcc_optimum(self, monkeypatch):
-        e, garch, dcc_fit = self.fits()
+        _, stage, dcc_fit = self.fits()
         # an ADCC search that ends on the no-dynamics corner
         monkeypatch.setattr(dcc, "_fit_box", lambda fun, starts, bounds: np.zeros(len(bounds)))
-        stuck = dcc.fit_dcc(e, "adcc", garch=garch)
+        stuck = dcc.fit_dcc(stage, "adcc")
         assert stuck.loglik < dcc_fit.loglik - 1.0
         solves = self.count_solves(monkeypatch)
-        nested = dcc.fit_dcc(e, "adcc", garch=garch, nested=dcc_fit)
+        nested = dcc.fit_dcc(stage, "adcc", nested=dcc_fit)
         assert len(solves) == 1
         params = dcc._corr_from_x(solves[0])[0]
         np.testing.assert_allclose(params, (dcc_fit.a, dcc_fit.b, 0.0), rtol=1e-12, atol=1e-15)
@@ -208,18 +207,18 @@ class TestNesting:
         assert not nested.fallback
 
     def test_no_extra_solve_when_adcc_is_not_below(self, monkeypatch):
-        e, garch, dcc_fit = self.fits()
+        _, stage, dcc_fit = self.fits()
         solves = self.count_solves(monkeypatch)
-        alone = dcc.fit_dcc(e, "adcc", garch=garch)
+        alone = dcc.fit_dcc(stage, "adcc")
         n_alone = len(solves)
-        nested = dcc.fit_dcc(e, "adcc", garch=garch, nested=dcc_fit)
+        nested = dcc.fit_dcc(stage, "adcc", nested=dcc_fit)
         assert alone.loglik >= dcc_fit.loglik
         assert len(solves) == 2 * n_alone
         assert (nested.a, nested.b, nested.g, nested.loglik) == (
             alone.a, alone.b, alone.g, alone.loglik)
 
     def test_each_start_is_solved_once(self, monkeypatch):
-        e, garch, dcc_fit = self.fits()
+        e, stage, dcc_fit = self.fits()
         solves = self.count_solves(monkeypatch)
         dcc.fit_garch11(e[:, 0])
         assert len(solves) == len(dcc._GARCH_STARTS)
@@ -227,17 +226,18 @@ class TestNesting:
                                      ("adcc", None, dcc._ADCC_STARTS),
                                      ("adcc", dcc_fit, dcc._ADCC_STARTS)):
             solves.clear()
-            fit = dcc.fit_dcc(e, kind, garch=garch, nested=nested)
+            fit = dcc.fit_dcc(stage, kind, nested=nested)
             assert fit.loglik >= dcc_fit.loglik     # the nesting re-solve has no cause to run
             assert len(solves) == len(starts)
 
     def test_nested_must_be_a_dcc_fit_of_the_same_garch_stage(self):
-        e, garch, dcc_fit = self.fits()
+        e, stage, dcc_fit = self.fits()
         with pytest.raises(ValueError, match="nests"):
-            dcc.fit_dcc(e, "dcc", garch=garch, nested=dcc_fit)
-        other = tuple(dataclasses.replace(p, alpha=p.alpha * 0.5) for p in garch)
-        with pytest.raises(ValueError, match="GARCH stage"):
-            dcc.fit_dcc(e, "adcc", garch=other, nested=dcc_fit)
+            dcc.fit_dcc(stage, "dcc", nested=dcc_fit)
+        # another stage of the same residuals, and the stage an array builds
+        for other in (dcc.fit_garch_stage(e), e):
+            with pytest.raises(ValueError, match="GARCH stage"):
+                dcc.fit_dcc(other, "adcc", nested=dcc_fit)
 
 
 class TestBoxCoordinates:
@@ -283,21 +283,27 @@ def bundled_windows(tmp_path_factory):
     return [q[t - 364:t + 1] for t in range(364, 368) for q in (series.q, series.q_adj)]
 
 
-def test_bundled_fits_are_optima(bundled_windows):
+def test_bundled_fits_are_optima(bundled_windows, monkeypatch):
     """Neither a start point, nor a feasible step of 0.001 in a, b or g, nor
     a point of a coarse grid beats a fit by more than 1e-6 relative, and
     ADCC, which nests DCC, is never below it."""
     grid = [np.array(p) for p in itertools.product(
         (0.0, 0.005, 0.01, 0.02, 0.05), (0.0, 0.3, 0.5, 0.7, 0.9), (0.0, 0.01, 0.03))]
+    stages = []
+    fit_garch_stage = dcc.fit_garch_stage
+
+    def recording(residuals):
+        stages.append(fit_garch_stage(residuals))
+        return stages[-1]
+
+    monkeypatch.setattr(dcc, "fit_garch_stage", recording)
     for window in bundled_windows:
-        fit, dcc_fit, adcc_fit = pipeline._fit_window_pipeline(window)
-        _, xi = dcc._standardize(fit.residuals, dcc_fit.garch)
-        xi = np.ascontiguousarray(xi)
-        neg = np.ascontiguousarray(np.minimum(xi, 0.0))
+        _, dcc_fit, adcc_fit = pipeline._fit_window_pipeline(window)
+        terms = stages[-1].terms
         assert adcc_fit.loglik >= dcc_fit.loglik - 1e-9 * abs(dcc_fit.loglik)
         for res, starts in ((dcc_fit, dcc._DCC_STARTS), (adcc_fit, dcc._ADCC_STARTS)):
             best = np.array([res.a, res.b, res.g])
-            nll_fit = corr_negloglik(xi, neg, res.obar, res.nbar, *best)[0]
+            nll_fit = corr_negloglik(terms, *best)[0]
             candidates = [np.array(s + (0.0,) * (3 - len(s))) for s in starts]
             candidates += [p for p in grid if res.kind == "adcc" or p[2] == 0.0]
             for k in range(2 if res.kind == "dcc" else 3):
@@ -308,7 +314,7 @@ def test_bundled_fits_are_optima(bundled_windows):
             for cand in candidates:
                 if cand.min() < 0.0 or cand.sum() > dcc.MAX_PERSISTENCE:
                     continue
-                gain = nll_fit - corr_negloglik(xi, neg, res.obar, res.nbar, *cand)[0]
+                gain = nll_fit - corr_negloglik(terms, *cand)[0]
                 assert gain <= 1e-6 * abs(res.loglik), (res.kind, tuple(cand), gain)
 
 
@@ -358,16 +364,17 @@ def test_warm_fits_never_end_below_cold_fits(short_windows):
 
 @pytest.fixture
 def correlated_residuals():
-    """Two nearby 300-day residual windows and their GARCH stages."""
+    """The GARCH stages of two nearby 300-day residual windows."""
     rng = np.random.default_rng(3)
     corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
     e = simulate_dcc(rng, 301, 0.05, 0.9, corr)
-    return [(w, dcc.fit_garch_stage(w)) for w in (e[:300], e[1:])]
+    return [dcc.fit_garch_stage(w) for w in (e[:300], e[1:])]
 
 
 def counting_solves(monkeypatch, kernel_calls: list) -> list:
-    """Wrap both solvers and the correlation kernel's forward pass: each
-    solve appends its result, each pass appends to kernel_calls."""
+    """Wrap both solvers and the correlation kernel's forward pass, under
+    both names it is called by: each solve appends its result, each pass
+    appends to kernel_calls."""
     results = []
 
     def solve(*args, fn):
@@ -379,20 +386,21 @@ def counting_solves(monkeypatch, kernel_calls: list) -> list:
         return fn(*args)
 
     for module, name, wrap in ((dcc, "_minimize_fd", solve), (dcc, "_newton_box", solve),
-                               (_kernels, "_corr_pass", kernel)):
+                               (dcc, "corr_negloglik", kernel),
+                               (_kernels, "corr_negloglik", kernel)):
         monkeypatch.setattr(module, name, functools.partial(wrap, fn=getattr(module, name)))
     return results
 
 
 def test_each_optimum_is_scored_from_its_evaluation(correlated_residuals, monkeypatch):
-    (e, garch), (e_next, garch_next) = correlated_residuals
+    stage, stage_next = correlated_residuals
     kernel_calls = []
     solves = counting_solves(monkeypatch, kernel_calls)
-    dcc_fit = dcc.fit_dcc(e, "dcc", garch=garch)
+    dcc_fit = dcc.fit_dcc(stage, "dcc")
     # a nested fit scored above any ADCC optimum forces the nesting re-solve
     above = dataclasses.replace(dcc_fit, loglik=dcc_fit.loglik + 1.0)
-    dcc.fit_dcc(e, "adcc", garch=garch, nested=above)
-    dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=dcc_fit)
+    dcc.fit_dcc(stage, "adcc", nested=above)
+    dcc.fit_dcc(stage_next, "dcc", warm=dcc_fit)
     assert len(solves) == 3 + 3 + 1 + 1      # starts, starts and re-solve, warm solve
     assert solves[-1].nhev > 0               # the warm solve is the Newton solve
     # one pass per evaluation: no scoring pass, and each Hessian reuses one
@@ -400,8 +408,8 @@ def test_each_optimum_is_scored_from_its_evaluation(correlated_residuals, monkey
 
 
 def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, monkeypatch):
-    (e, garch), (e_next, garch_next) = correlated_residuals
-    prev = {kind: dcc.fit_dcc(e, kind, garch=garch) for kind in ("dcc", "adcc")}
+    stage, stage_next = correlated_residuals
+    prev = {kind: dcc.fit_dcc(stage, kind) for kind in ("dcc", "adcc")}
     x0s = {"_minimize_fd": [], "_newton_box": []}
     for (name, x0_list), at in zip(x0s.items(), (1, 2)):       # x0's place in each solve's call
         def recording(*args, solve=getattr(dcc, name), x0_list=x0_list, at=at):
@@ -411,21 +419,21 @@ def test_warm_fit_solves_once_from_the_previous_optimum(correlated_residuals, mo
     for kind, fit in prev.items():
         for x0_list in x0s.values():
             x0_list.clear()
-        warm = dcc.fit_dcc(e_next, kind, garch=garch_next, warm=fit)
+        warm = dcc.fit_dcc(stage_next, kind, warm=fit)
         assert (len(x0s["_newton_box"]), len(x0s["_minimize_fd"])) == (1, 0)
         params = dcc._corr_from_x(x0s["_newton_box"][0])[0]
         np.testing.assert_allclose(params, (fit.a, fit.b, fit.g), rtol=1e-12, atol=1e-15)
-        cold = dcc.fit_dcc(e_next, kind, garch=garch_next)
+        cold = dcc.fit_dcc(stage_next, kind)
         assert warm.loglik >= cold.loglik - 1e-9 * abs(cold.loglik)
         # a fallback, or a fit with no dynamics, is no optimum to start from
         for unusable in (dataclasses.replace(fit, fallback=True),
                          dataclasses.replace(fit, a=0.0, g=0.0)):
             for x0_list in x0s.values():
                 x0_list.clear()
-            dcc.fit_dcc(e_next, kind, garch=garch_next, warm=unusable)
+            dcc.fit_dcc(stage_next, kind, warm=unusable)
             assert (len(x0s["_newton_box"]), len(x0s["_minimize_fd"])) == (0, 3)
     with pytest.raises(TypeError, match="cannot start from"):
-        dcc.fit_dcc(e_next, "dcc", garch=garch_next, warm=prev["adcc"])
+        dcc.fit_dcc(stage_next, "dcc", warm=prev["adcc"])
 
 
 def simulate_adcc(rng, n, b, g, corr):

@@ -147,7 +147,7 @@ def test_corr_negloglik_paths_agree(g):
     rng = np.random.default_rng(3)
     xi, neg, obar, nbar = make_corr_inputs(rng, 300, 4)
     nll_loop, q_loop = corr_negloglik_loop(xi, neg, obar, nbar, 0.05, 0.9, g)
-    nll_vec, _, q_vec = k.corr_negloglik(xi, neg, obar, nbar, 0.05, 0.9, g)
+    nll_vec, _, q_vec = k.corr_negloglik(k.CorrTerms(xi, neg, obar, nbar), 0.05, 0.9, g)
     assert nll_loop == pytest.approx(nll_vec, rel=1e-10)
     np.testing.assert_allclose(q_loop, q_vec, rtol=1e-10)
 
@@ -157,7 +157,7 @@ def test_corr_indefinite_recursion_is_inf():
     xi, neg, obar, nbar = make_corr_inputs(rng, 100, 3)
     # a large asymmetric load drives the intercept (1-a-b) obar - g nbar indefinite
     assert corr_negloglik_loop(xi, neg, obar, nbar, 0.0, 0.0, 3.0)[0] == np.inf
-    nll, grad, _ = k.corr_negloglik(xi, neg, obar, nbar, 0.0, 0.0, 3.0)
+    nll, grad, _ = k.corr_negloglik(k.CorrTerms(xi, neg, obar, nbar), 0.0, 0.0, 3.0)
     assert nll == np.inf
     assert np.array_equal(grad, np.zeros(3))
 
@@ -186,20 +186,20 @@ def test_garch_gradient_matches_central_differences(params):
 ])
 def test_corr_gradient_matches_central_differences(params):
     rng = np.random.default_rng(6)
-    xi, neg, obar, nbar = make_corr_inputs(rng, 365, 5)
+    terms = k.CorrTerms(*make_corr_inputs(rng, 365, 5))
 
     def value(a, b, g):
-        return k.corr_negloglik(xi, neg, obar, nbar, a, b, g)[0]
+        return k.corr_negloglik(terms, a, b, g)[0]
 
-    _, grad, _ = k.corr_negloglik(xi, neg, obar, nbar, *params)
+    _, grad, _ = k.corr_negloglik(terms, *params)
     assert_gradient(grad, central_differences(value, params, 1e-6))
 
 
 def test_gradients_of_one_day_are_zero():
     xi = np.array([[0.3, -1.2]])
     obar = np.array([[1.0, 0.4], [0.4, 1.0]])
-    nll, grad, q_last = k.corr_negloglik(xi, np.minimum(xi, 0.0), obar, np.zeros((2, 2)),
-                                         0.05, 0.9, 0.02)
+    terms = k.CorrTerms(xi, np.minimum(xi, 0.0), obar, np.zeros((2, 2)))
+    nll, grad, q_last = k.corr_negloglik(terms, 0.05, 0.9, 0.02)
     assert np.isfinite(nll)
     assert np.array_equal(grad, np.zeros(3))
     np.testing.assert_array_equal(q_last, obar)
@@ -218,12 +218,13 @@ def test_gradients_of_one_day_are_zero():
 ])
 def test_corr_hessian_matches_central_differences_of_the_gradient(params):
     rng = np.random.default_rng(7)
-    xi, neg, obar, nbar = make_corr_inputs(rng, 365, 5)
+    inputs = make_corr_inputs(rng, 365, 5)
+    terms = k.CorrTerms(*inputs)
 
     def gradient(a, b, g):
-        return k.corr_negloglik(xi, neg, obar, nbar, a, b, g)[1]
+        return k.corr_negloglik(terms, a, b, g)[1]
 
-    hess = k.corr_hessian(k.CorrTerms(xi, neg, obar, nbar), *params)[1]
+    hess = k.corr_hessian(k.CorrTerms(*inputs), *params)[1]
     numeric = np.empty((3, 3))
     for j in range(3):
         up, down = list(params), list(params)
@@ -236,27 +237,28 @@ def test_corr_hessian_matches_central_differences_of_the_gradient(params):
 
 @pytest.mark.parametrize("params", [(0.05, 0.90, 0.0), (0.0, 0.93, 0.03), (0.0, 0.0, 3.0)])
 def test_hessian_reuses_the_last_pass(params):
-    """With prebuilt terms the kernel returns its value, gradient and last Q
-    bit for bit; the Hessian at the point just evaluated reuses that pass
-    and equals one from a fresh pass (the last point's recursion is
-    indefinite, so its Hessian is zero)."""
+    """Terms that kept another point's pass give the kernel's value,
+    gradient and last Q bit for bit; the Hessian at the point just evaluated
+    reuses that pass and equals one from a fresh pass (the last point's
+    recursion is indefinite, so its Hessian is zero)."""
     rng = np.random.default_rng(8)
     inputs = make_corr_inputs(rng, 200, 4)
+    nll, grad, q_last = k.corr_negloglik(k.CorrTerms(*inputs), *params)
     terms = k.CorrTerms(*inputs)
-    nll, grad, q_last = k.corr_negloglik(*inputs, *params)
-    got = k.corr_negloglik(*inputs, *params, terms=terms)
+    k.corr_negloglik(terms, 0.04, 0.8, 0.01)
+    got = k.corr_negloglik(terms, *params)
     assert got[0] == nll
     np.testing.assert_array_equal(got[1], grad)
     np.testing.assert_array_equal(got[2], q_last)
     passes = []
-    corr_pass = k._corr_pass
+    corr_pass = k.corr_negloglik
 
     def counting(*args):
         passes.append(args)
         return corr_pass(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(k, "_corr_pass", counting)
+        mp.setattr(k, "corr_negloglik", counting)
         grad_h, hess = k.corr_hessian(terms, *params)
         assert not passes
         other = (params[0] + 0.01, *params[1:])

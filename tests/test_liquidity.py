@@ -10,7 +10,6 @@ from liqcov.linalg import SingularMatrixError
 from liqcov.liquidity import (
     DegenerateDayError,
     LiquidityBetas,
-    asset_day,
     build_snapshot,
     capped_determinant_value,
     composite_matrix,
@@ -22,6 +21,11 @@ from liqcov.liquidity import (
     normalization_factor,
 )
 from liqcov.marketdata import AssetDay, MinuteGrid
+
+
+def asset_day_of(grid):
+    """The AssetDay that build_snapshot makes of grid."""
+    return liquidity._asset_day(grid, liquidity._adjusted(grid))
 
 
 def make_grid(rng, symbol="AAA", t=48, vol_sigma=1.0):
@@ -161,7 +165,7 @@ class TestIntradayCovariance:
     def test_diagonal_equals_squared_daily_vol(self):
         rng = np.random.default_rng(22)
         grid = make_grid(rng)
-        day = asset_day(grid)
+        day = asset_day_of(grid)
         cov = intraday_covariance([grid])
         assert cov[0, 0] == pytest.approx(day.daily_vol**2, rel=1e-12)
 
@@ -266,15 +270,15 @@ class TestSnapshot:
         date = dt.date(2021, 5, 3)
         r = rng.normal(0, 1e-3, 48)
         vol = rng.lognormal(8, 1, 48)
-        day1 = asset_day(MinuteGrid("A", date, r, vol))
-        day2 = asset_day(MinuteGrid("A", date, r, vol * 1000.0))
+        day1 = asset_day_of(MinuteGrid("A", date, r, vol))
+        day2 = asset_day_of(MinuteGrid("A", date, r, vol * 1000.0))
         b1, b2 = liquidity_betas(day1), liquidity_betas(day2)
         assert b1.jump == pytest.approx(b2.jump, rel=1e-10)
         assert b1.diffusion == pytest.approx(b2.diffusion, rel=1e-10)
 
     def test_degenerate_day_kept_in_series(self):
         date = dt.date(2021, 5, 3)
-        day = asset_day(MinuteGrid("A", date, np.zeros(48), np.ones(48)))
+        day = asset_day_of(MinuteGrid("A", date, np.zeros(48), np.ones(48)))
         assert day.degenerate
         assert day.daily_return == 0.0 and day.daily_liq_return == 0.0
         betas = liquidity_betas(day)
@@ -295,7 +299,7 @@ class TestSnapshot:
         snap = build_snapshot(grids)
         assert len(calls) == 4
         monkeypatch.setattr(liquidity, "liquidity_adjusted_minutes", adjust)
-        assert snap.asset_days == tuple(asset_day(g) for g in grids)
+        assert snap.asset_days == tuple(asset_day_of(g) for g in grids)
         # the adjusted minute returns, raw for the degenerate asset
         x = np.column_stack([g.returns if d.degenerate else adjust(g.returns, g.dollar_volume)[0]
                              for g, d in zip(grids, snap.asset_days)])

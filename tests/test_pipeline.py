@@ -112,6 +112,44 @@ def test_posterior_roundtrip(series, tmp_path):
         assert np.array_equal(loaded[date], mat)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[:3] + rows[4:], "2021-01-01 has no cell (1, 0) of a 2 x 2 matrix"),
+    (lambda rows: rows[:2] + ["2021-01-01,0,1"] + rows[3:], "line 3: 3 fields, not 4"),
+    (lambda rows: rows + ["2021-01-02,2,2,1.0"], "2021-01-02 has no cell (0, 0) of a 2 x 2"),
+    (lambda rows: rows + [f"2021-01-02,{i},{j},1.0" for i in range(3) for j in range(3)],
+     "2021-01-02 has 9 cells, not 2 x 2"),
+])
+def test_posterior_file_must_give_every_cell(tmp_path, edit, message):
+    """A date short of a cell or of another size, or a row short of a field,
+    is an error that names the file, not a matrix filled from uninitialized
+    memory."""
+    rows = ["date,row,col,value"] + [f"2021-01-01,{i},{j},{1.0 + i + j}" for i in range(2)
+                                     for j in range(2)]
+    path = tmp_path / "post.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert np.array_equal(read_posteriors_csv(path)[dt.date(2021, 1, 1)], [[1.0, 2.0], [2.0, 3.0]])
+    path.write_text("\n".join(edit(rows)) + "\n")
+    with pytest.raises(ValueError, match="post.csv") as err:
+        read_posteriors_csv(path)
+    assert message in str(err.value)
+
+
+def test_one_garch_stage_per_window(series, monkeypatch):
+    """Both correlation fits of a window, cold or warm, read one standardized
+    window: one GARCH stage, a GARCH fit per asset, one set of kernel terms."""
+    built = {"fit_garch_stage": 0, "fit_garch11": 0, "CorrTerms": 0}
+    for name in built:
+        def counting(*args, name=name, fn=getattr(dcc, name)):
+            built[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(dcc, name, counting)
+    warm = None
+    for t in (99, 100):
+        _, *warm = pipeline._fit_window_pipeline(series.q[t - 99:t + 1], warm)
+        assert built == {"fit_garch_stage": 1, "fit_garch11": 3, "CorrTerms": 1}
+        built.update(dict.fromkeys(built, 0))
+
+
 def test_coefficient_arrays_shape(series):
     fset = run_forecasts(series, window_days=80, stride=10)
     coeffs = fset.coefficients("regular")
